@@ -23,6 +23,7 @@ from .cones import (
     accumulation_cone_model,
     convergence_scan,
     extremal_generators,
+    extremal_rays,
     canonicalize,
     is_pointed,
     span_dimension,
@@ -254,28 +255,26 @@ def cmd_cone(cfg: RunConfig) -> int:
             {canonicalize(cone.generators[j]) for j in idx},
             key=lambda r: r.canonical,
         )
-        half_rays = {
-            canonicalize(half_cone.generators[j])
-            for j in extremal_generators(half_cone)
-        }
         doc["extremal_indices"] = idx
         doc["extremal_rays"] = [
             [_frac_str(c) for c in r.canonical] for r in rays
         ]
-        doc["extremal_stable"] = half_rays == set(rays)
+        doc["extremal_stable"] = extremal_rays(half_cone) == set(rays)
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
 def _parse_int_matrix(text: str, what: str):
+    usage = f"{what} must be a JSON array of integer rows"
     try:
         rows = json.loads(text)
-        assert isinstance(rows, list) and rows
-        for row in rows:
-            assert isinstance(row, list)
-            assert all(isinstance(x, int) for x in row)
-    except (AssertionError, json.JSONDecodeError) as exc:
-        raise UsageError(f"{what} must be a JSON array of integer rows: {exc}")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{usage}: {exc}")
+    if not (isinstance(rows, list) and rows) or not all(
+        isinstance(row, list) and all(isinstance(x, int) for x in row)
+        for row in rows
+    ):
+        raise UsageError(f"{usage}, got {text}")
     return rows
 
 

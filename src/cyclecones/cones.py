@@ -19,7 +19,8 @@ from .classes import (
     omega_class,
     primitive_heegner_class,
 )
-from .qseries import MillerBasis, dim_mk, matrix_rank, miller_basis
+from .linalg import rank
+from .qseries import MillerBasis, dim_mk, miller_basis
 
 __all__ = [
     "Ray",
@@ -273,10 +274,12 @@ def lp_feasible(n_vars: int, ge=(), eq=(), nonneg: bool = False):
         x = sol[:n_vars]
     else:
         x = [sol[j] - sol[n_vars + j] for j in range(n_vars)]
-    for coef, rhs in eq:
-        assert sum(c * v for c, v in zip(coef, x)) == rhs
-    for coef, rhs in ge:
-        assert sum(c * v for c, v in zip(coef, x)) >= rhs
+    for i, (coef, rhs) in enumerate(eq):
+        if sum(c * v for c, v in zip(coef, x)) != rhs:
+            raise ArithmeticError(f"LP witness violates equality row {i}")
+    for i, (coef, rhs) in enumerate(ge):
+        if sum(c * v for c, v in zip(coef, x)) < rhs:
+            raise ArithmeticError(f"LP witness violates inequality row {i}")
     return tuple(x)
 
 
@@ -329,25 +332,37 @@ def pointedness_witness(cone: Cone):
 def extremal_generators(cone: Cone) -> list[int]:
     """Indices of generators spanning extremal rays of a pointed cone.
 
-    Generators on a common ray are grouped first, so a repeated ray is
-    tested against the *other* rays only and cannot be reported
-    non-extremal just because a positive multiple of it is present.
+    Generators on a common ray are grouped first, so a repeated ray cannot
+    be reported non-extremal just because a positive multiple of it is
+    present.  The distinct rays are then swept in generator order while
+    an irredundant set C is kept (Clarkson's output-sensitive redundancy
+    removal): a ray inside cone(C) is dropped; otherwise it joins C and
+    every older member lying in the cone of the rest of C leaves.  Since
+    cone(C) equals the cone of the rays seen so far at every step, and a
+    pointed cone has exactly one irredundant generating set, C ends as
+    the extremal rays.  Each membership LP has |C| columns, not one per
+    ray.
     """
     if not is_pointed(cone):
         raise ValueError("extremal rays are only defined for pointed cones")
     groups: dict[Ray, list[int]] = {}
     for j, g in enumerate(cone.generators):
         groups.setdefault(canonicalize(g), []).append(j)
-    rays = list(groups)
-    out: list[int] = []
-    for ray in rays:
-        others = [
-            ClassVector(cone.weight, r.canonical) for r in rays if r != ray
-        ]
+
+    def inside(ray: Ray, others: list[Ray]) -> bool:
+        gens = tuple(ClassVector(cone.weight, r.canonical) for r in others)
         rep = ClassVector(cone.weight, ray.canonical)
-        if not others or not member(rep, Cone(tuple(others), cone.weight)):
-            out.extend(groups[ray])
-    return sorted(out)
+        return member(rep, Cone(gens, cone.weight))
+
+    kept: list[Ray] = []
+    for ray in groups:
+        if inside(ray, kept):
+            continue
+        for old in list(kept):
+            if inside(old, [r for r in kept if r != old] + [ray]):
+                kept.remove(old)
+        kept.append(ray)
+    return sorted(j for ray in kept for j in groups[ray])
 
 
 def extremal_rays(cone: Cone) -> set[Ray]:
@@ -360,4 +375,4 @@ def span_dimension(cone: Cone) -> int:
     """Rank of the generator matrix by exact Gaussian elimination."""
     if not cone.generators:
         return 0
-    return matrix_rank([g.coords for g in cone.generators])
+    return rank([g.coords for g in cone.generators])

@@ -250,8 +250,10 @@ def gauss_reduce(
         b = -b
         u = mul(u, ((1, 0), (0, -1)))
     reduced = HalfIntegralMatrix(((2 * a, b), (b, 2 * c)))
-    assert u[0][0] * u[1][1] - u[0][1] * u[1][0] in (1, -1)
-    assert _congruent(t, u) == reduced.doubled
+    if u[0][0] * u[1][1] - u[0][1] * u[1][0] not in (1, -1):
+        raise ArithmeticError(f"reduction matrix {u} is not unimodular")
+    if _congruent(t, u) != reduced.doubled:
+        raise ArithmeticError(f"u^t T u does not give the reduced form for {u}")
     return reduced, u
 
 
@@ -334,7 +336,8 @@ def lattice_signature(lattice: EvenLattice) -> tuple[int, int]:
 
 def lattice_determinant(lattice: EvenLattice) -> int:
     d = det(lattice.gram)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise ArithmeticError(f"Gram determinant {d} is not an integer")
     return d.numerator
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rank, rref
+from .linalg import rref
 from .numtheory import bernoulli, sigma
 
 __all__ = [
@@ -234,11 +234,6 @@ def miller_basis(k: int, precision: int) -> MillerBasis:
             f"monomial span rank {len(rows)} != dimension {d} at weight {k}"
         )
     return MillerBasis(k, tuple(QSeries(k, tuple(r)) for r in rows))
-
-
-def matrix_rank(rows) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    return rank(rows)
 
 
 def dump_miller_basis(basis: MillerBasis) -> str:

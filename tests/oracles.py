@@ -1,7 +1,8 @@
 """Brute-force oracles shared by the cone/lattice/acceptance tests.
 
 These stay deliberately independent of the simplex: membership runs over
-Caratheodory subsets solved by row reduction, pointedness enumerates
+Caratheodory subsets solved by row reduction, extremality tests each ray
+against all the others by that membership, pointedness enumerates
 minimal one-signed relations, and the GL_2(Z)/GL_n(Z) samplers multiply
 elementary matrices.  The weight-18 ray distances have a closed form built
 from Delta*E_6 in plain ints, independent of the q-series module.
@@ -46,6 +47,21 @@ def brute_member(v, gens):
             ):
                 return True
     return False
+
+
+def brute_extremal(gens):
+    """Sorted indices of generators on extremal rays: generators are grouped
+    by ray (scaled to max |coordinate| 1), and a ray is kept when
+    brute_member does not place it in the cone of the other rays."""
+    groups = {}
+    for j, g in enumerate(gens):
+        top = max(abs(Fraction(c)) for c in g)
+        groups.setdefault(tuple(Fraction(c) / top for c in g), []).append(j)
+    out = []
+    for ray, idx in groups.items():
+        if not brute_member(ray, [r for r in groups if r != ray]):
+            out.extend(idx)
+    return sorted(out)
 
 
 def brute_pointed(gens):

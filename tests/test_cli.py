@@ -205,3 +205,17 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--n", "10", "--vectors", "[1,2]"],
+        ["reduce", "--n", "10", "--doubled", '[[1,"a"]]'],
+    ],
+)
+def test_matrix_input_rejected_with_asserts_stripped(run_optimized, argv):
+    proc = run_optimized("-m", "cyclecones.cli", "lattice", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "must be a JSON array of integer rows" in proc.stderr
+    assert proc.stdout == ""

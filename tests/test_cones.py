@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclecones import cones
 from cyclecones.classes import ClassVector, primitive_heegner_class
 from cyclecones.cones import (
     Cone,
@@ -25,7 +26,7 @@ from cyclecones.cones import (
     span_dimension,
 )
 from cyclecones.qseries import dim_mk, miller_basis
-from oracles import brute_member, brute_pointed
+from oracles import brute_extremal, brute_member, brute_pointed
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=10)
 
@@ -136,6 +137,20 @@ def test_lp_witness_satisfies_system():
     assert sum(w) == 4
 
 
+def test_lp_rejects_a_wrong_witness(monkeypatch):
+    monkeypatch.setattr(cones, "_phase1", lambda A, b: [0] * len(A[0]))
+    with pytest.raises(ArithmeticError, match="equality row 0"):
+        lp_feasible(1, eq=[([1], 1)], nonneg=True)
+    with pytest.raises(ArithmeticError, match="inequality row 1"):
+        lp_feasible(1, ge=[([1], 0), ([1], 1)])
+
+
+def test_lp_rejects_a_wrong_witness_with_asserts_stripped(run_optimized):
+    test = f"{__file__}::test_lp_rejects_a_wrong_witness"
+    proc = run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_member_examples():
     c = cone_of((1, 0), (0, 1))
     assert member(vec(2, 3), c)
@@ -200,6 +215,29 @@ def test_lp_agrees_with_bruteforce_on_random_small_cones():
         v = tuple(rng.randint(-2, 2) for _ in range(d))
         assert member(vec(*v), cone) == brute_member(v, gens)
         assert is_pointed(cone) == brute_pointed(gens)
+
+
+def test_extremal_agrees_with_bruteforce_on_random_pointed_cones():
+    # every generator is flipped to the positive side of a random
+    # functional y, so each cone is pointed; positive multiples repeat rays
+    rng = random.Random(31)
+    for _ in range(600):
+        d = rng.randint(1, 4)
+        y = [rng.randint(-3, 3) for _ in range(d)]
+        if not any(y):
+            continue
+        gens = []
+        for _ in range(rng.randint(1, 8)):
+            if gens and rng.random() < 0.25:
+                scale = rng.choice((2, 3, Fraction(1, 2)))
+                gens.append(tuple(scale * c for c in rng.choice(gens)))
+                continue
+            g = [rng.randint(-2, 2) for _ in range(d)]
+            s = sum(a * b for a, b in zip(y, g))
+            if s != 0:
+                gens.append(tuple(g if s > 0 else [-c for c in g]))
+        if gens:
+            assert extremal_generators(cone_of(*gens)) == brute_extremal(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +326,24 @@ def test_class_ray_converges_to_positive_axis_at_weight_0_mod_4():
     basis = miller_basis(16, 130)
     ray = class_ray(primitive_heegner_class(128, 16), basis)
     assert ray.canonical[0] == 1
+
+
+def test_extremal_sweep_work_and_observed_extremal_set(monkeypatch):
+    columns = []
+    lp = cones.lp_feasible
+
+    def counted(n_vars, *args, **kwargs):
+        columns.append(n_vars)
+        return lp(n_vars, *args, **kwargs)
+
+    monkeypatch.setattr(cones, "lp_feasible", counted)
+    cone = accumulation_cone_model(18, 200, miller_basis(18, 201))
+    assert extremal_generators(cone) == [1, 2]
+    # one is_pointed LP of 201 columns plus membership LPs of about d
+    # columns each; one LP per ray against all others totals 40,401
+    assert sum(columns) <= 1000
+    # an observation the code does not rely on: the extremal set is
+    # P_1..P_d and the Kahler generator (index 0) is never extremal
+    for k in (18, 26, 34):
+        cone = accumulation_cone_model(k, 100, miller_basis(k, 101))
+        assert extremal_generators(cone) == list(range(1, dim_mk(k) + 1))
