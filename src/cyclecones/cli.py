@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,7 +127,9 @@ def _cached_basis(cfg: RunConfig) -> MillerBasis:
     """Miller basis of cfg.weight at cfg.precision, via the disk cache.
 
     A corrupt cache file is recomputed and overwritten with a warning;
-    results are bit-identical either way.
+    results are bit-identical either way.  The file is written to a
+    temporary name in the same directory and renamed into place, so an
+    interrupted or failed write never leaves a partial cache file.
     """
     k = cfg.weight
     n_prec = max(cfg.precision, dim_mk(k), 1)
@@ -143,7 +146,13 @@ def _cached_basis(cfg: RunConfig) -> MillerBasis:
             _warn(f"warning: ignoring corrupt cache file {path}: {exc}")
     basis = miller_basis(k, n_prec)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_miller_basis(basis))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(dump_miller_basis(basis))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return basis
 
 

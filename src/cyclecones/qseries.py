@@ -3,8 +3,8 @@
 A form of even weight k is represented by the first N coefficients of its
 q-expansion, all exact rationals.  The module provides the normalized
 Eisenstein series E_k, the discriminant cusp form, the weight-k dimension
-formula, and echelonized (Miller) bases obtained by exact row reduction of
-the monomials E_4^a E_6^b.
+formula, and echelonized (Miller) bases built in integers by Miller's
+Delta^j construction.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rref
 from .numtheory import bernoulli, sigma
 
 __all__ = [
@@ -159,44 +158,43 @@ def eisenstein(k: int, precision: int) -> QSeries:
     return QSeries(k, tuple(coeffs))
 
 
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Truncated Cauchy product of integer coefficient lists."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
+    return out
+
+
+def _eisenstein_ints(k: int, precision: int) -> list[int]:
+    """Coefficients of E_k as ints; integral for k = 4 and 6."""
+    coeffs = eisenstein(k, precision).coefficients
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError(f"E_{k} does not have integer coefficients")
+    return [c.numerator for c in coeffs]
+
+
+def _delta_ints(e4: list[int], e6: list[int]) -> list[int]:
+    """Delta = (E_4^3 - E_6^2)/1728 from integer E_4, E_6; the division is
+    checked to be exact."""
+    out = []
+    for x, y in zip(_mul(_mul(e4, e4), e4), _mul(e6, e6)):
+        c, rem = divmod(x - y, 1728)
+        if rem:
+            raise ArithmeticError("E_4^3 - E_6^2 is not divisible by 1728")
+        out.append(c)
+    return out
+
+
 def delta(precision: int) -> QSeries:
     """The discriminant cusp form (E_4^3 - E_6^2)/1728 of weight 12."""
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    e4 = eisenstein(4, precision)
-    e6 = eisenstein(6, precision)
-    return (power(e4, 3) - power(e6, 2)).scale(Fraction(1, 1728))
-
-
-def monomial_exponents(k: int) -> list[tuple[int, int]]:
-    """All (a, b) with 4a + 6b = k, a, b >= 0; one per basis monomial E_4^a E_6^b."""
-    out = []
-    b = 0
-    while 6 * b <= k:
-        if (k - 6 * b) % 4 == 0:
-            out.append(((k - 6 * b) // 4, b))
-        b += 1
-    return out
-
-
-def monomial_span(k: int, precision: int) -> list[QSeries]:
-    """The monomials E_4^a E_6^b of weight k, truncated q-expansions."""
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    if k == 0:
-        one = QSeries(0, (Fraction(1),) + (Fraction(0),) * (precision - 1))
-        return [one]
-    e4 = eisenstein(4, precision) if k >= 4 else None
-    e6 = eisenstein(6, precision) if k >= 6 else None
-    out = []
-    for a, b in monomial_exponents(k):
-        f = QSeries(0, (Fraction(1),) + (Fraction(0),) * (precision - 1))
-        if a:
-            f = multiply(f, power(e4, a))
-        if b:
-            f = multiply(f, power(e6, b))
-        out.append(QSeries(k, f.coefficients))
-    return out
+    e4 = _eisenstein_ints(4, precision)
+    e6 = _eisenstein_ints(6, precision)
+    return QSeries(12, tuple(_delta_ints(e4, e6)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,14 @@ class MillerBasis:
 
 
 def miller_basis(k: int, precision: int) -> MillerBasis:
-    """Echelonized basis of weight-k forms via exact row reduction.
+    """Echelonized basis f_i = q^i + O(q^d) of weight-k forms, in integers.
+
+    Miller's construction (W. Stein, Modular Forms: A Computational
+    Approach, section 2.2): with d = dim M_k and 4a + 6b = k - 12(d - 1),
+    the forms g_j = Delta^j E_4^(3(d-1-j)) E_4^a E_6^b, j = 0 .. d-1, span
+    M_k and satisfy g_j = q^j + O(q^(j+1)), so back-substituting the
+    unitriangular block leaves the Miller basis.  Both that shape and the
+    final identity block are checked and raise ArithmeticError.
 
     Empty spaces (odd k, k = 2, k < 0) yield a dimension-0 basis rather
     than an error.
@@ -228,12 +233,45 @@ def miller_basis(k: int, precision: int) -> MillerBasis:
         raise ValueError(
             f"precision {precision} too small for dimension {d} at weight {k}"
         )
-    rows = rref([f.coefficients for f in monomial_span(k, precision)])
-    if len(rows) != d:
-        raise AssertionError(
-            f"monomial span rank {len(rows)} != dimension {d} at weight {k}"
-        )
-    return MillerBasis(k, tuple(QSeries(k, tuple(r)) for r in rows))
+    r = k - 12 * (d - 1)  # one of 0, 4, 6, 8, 10, 14
+    b = r % 4 // 2
+    a = (r - 6 * b) // 4
+    e4 = _eisenstein_ints(4, precision)
+    e6 = _eisenstein_ints(6, precision)
+    one = [1] + [0] * (precision - 1)
+    tail = one
+    for f, e in ((e4, a), (e6, b)):
+        for _ in range(e):
+            tail = _mul(tail, f)
+    rows = [tail]
+    if d > 1:
+        e4_cubed = _mul(_mul(e4, e4), e4)
+        for _ in range(d - 1):
+            rows.append(_mul(rows[-1], e4_cubed))
+        rows.reverse()  # rows[j] = E_4^(3(d-1-j)) E_4^a E_6^b
+        disc = _delta_ints(e4, e6)
+        disc_power = one
+        for j in range(1, d):
+            disc_power = _mul(disc_power, disc)
+            rows[j] = _mul(disc_power, rows[j])
+    for j, g in enumerate(rows):
+        if g[j] != 1 or any(g[:j]):
+            raise ArithmeticError(
+                f"g_{j} is not q^{j} + O(q^{j + 1}) at weight {k}"
+            )
+    for i in range(d - 2, -1, -1):
+        f = rows[i]
+        for j in range(i + 1, d):
+            c = f[j]
+            if c:
+                f = [x - c * y for x, y in zip(f, rows[j])]
+        rows[i] = f
+    for i, f in enumerate(rows):
+        if any(f[j] != (i == j) for j in range(d)):
+            raise ArithmeticError(
+                f"Miller row {i} lacks the identity pivot block at weight {k}"
+            )
+    return MillerBasis(k, tuple(QSeries(k, tuple(f)) for f in rows))
 
 
 def dump_miller_basis(basis: MillerBasis) -> str:

@@ -5,14 +5,19 @@ Caratheodory subsets solved by row reduction, extremality tests each ray
 against all the others by that membership, pointedness enumerates
 minimal one-signed relations, and the GL_2(Z)/GL_n(Z) samplers multiply
 elementary matrices.  The weight-18 ray distances have a closed form built
-from Delta*E_6 in plain ints, independent of the q-series module.
+from Delta*E_6 in plain ints, independent of the q-series module, and
+Delta itself comes from the Jacobi product.  Miller bases have a second
+construction: the monomials E_4^a E_6^b, powered in plain ints, reduced to
+echelon form by Fraction row reduction.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from cyclecones.linalg import rref
+from cyclecones.qseries import MillerBasis, QSeries
 
 
 def brute_member(v, gens):
@@ -93,28 +98,78 @@ B18 = Fraction(43867, 798)  # Bernoulli number B_18, written out
 C18 = -36 / B18  # q^1 coefficient of E_18
 
 
-def delta_e6_coefficients(precision):
-    """Integer q-coefficients a(0..precision-1) of Delta*E_6, the normalized
-    cusp form spanning S_18.
+def eisenstein_ints(k, precision):
+    """E_4 or E_6 in plain ints: 1 + c sum sigma_(k-1)(n) q^n with
+    c = 240 or -504, divisor sums by brute force."""
+    c = {4: 240, 6: -504}[k]
+    return (1,) + tuple(
+        c * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        for n in range(1, precision)
+    )
 
-    Delta comes from the Jacobi product q prod_n (1 - q^n)^24 and E_6 from
-    1 - 504 sum sigma_5(n) q^n, both in plain ints, so nothing here goes
-    through qseries.delta, miller_basis or numtheory.bernoulli.
+
+def int_product(a, b):
+    """Truncated product of integer q-expansions of equal length."""
+    return tuple(
+        sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _eisenstein_power(k, e, precision):
+    """E_k^e, cached so that a sweep over weights reuses the powers."""
+    if e == 0:
+        return (1,) + (0,) * (precision - 1)
+    return int_product(
+        _eisenstein_power(k, e - 1, precision), eisenstein_ints(k, precision)
+    )
+
+
+def monomial_span(k, precision):
+    """The monomials E_4^a E_6^b with 4a + 6b = k, as integer rows."""
+    return [
+        int_product(
+            _eisenstein_power(4, (k - 6 * b) // 4, precision),
+            _eisenstein_power(6, b, precision),
+        )
+        for b in range(k // 6 + 1)
+        if (k - 6 * b) % 4 == 0
+    ]
+
+
+def monomial_miller_basis(k, precision):
+    """Miller basis by Fraction row reduction of the monomial span, an
+    independent construction to compare qseries.miller_basis against.
+
+    The rank is not checked against dim_mk, so a caller can compare the
+    two; empty spaces give a dimension-0 basis.
     """
+    rows = rref(monomial_span(k, precision))
+    return MillerBasis(k, tuple(QSeries(k, tuple(r)) for r in rows))
+
+
+def jacobi_delta(precision):
+    """Integer q-coefficients of Delta = q prod_n (1 - q^n)^24, in plain
+    ints, without E_4 or E_6."""
     prod = [1] + [0] * (precision - 1)
     for n in range(1, precision):
         for _ in range(24):  # multiply by (1 - q^n), high degrees first
             for i in range(precision - 1, n - 1, -1):
                 prod[i] -= prod[i - n]
-    delta = [0] + prod[: precision - 1]
-    e6 = [1] + [
-        -504 * sum(d**5 for d in range(1, n + 1) if n % d == 0)
-        for n in range(1, precision)
-    ]
-    return [
-        sum(delta[i] * e6[n - i] for i in range(n + 1))
-        for n in range(precision)
-    ]
+    return [0] + prod[: precision - 1]
+
+
+def delta_e6_coefficients(precision):
+    """Integer q-coefficients a(0..precision-1) of Delta*E_6, the normalized
+    cusp form spanning S_18.
+
+    Delta comes from the Jacobi product and E_6 from
+    1 - 504 sum sigma_5(n) q^n, both in plain ints, so nothing here goes
+    through qseries.delta, miller_basis or numtheory.bernoulli.
+    """
+    return list(
+        int_product(jacobi_delta(precision), eisenstein_ints(6, precision))
+    )
 
 
 def weight_18_prime_distance(p, a_p):

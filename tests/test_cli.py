@@ -1,4 +1,6 @@
+import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +144,30 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code == 0
     assert again == cold
     assert "corrupt" in err
+
+
+def test_cache_write_failure_leaves_no_cache_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ("converge", "--n", "34", "--max-m", "8", "--cache-dir", str(cache))
+    code, expected, _ = run(capsys, "converge", "--n", "34", "--max-m", "8")
+    assert code == 0
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            main(list(argv))
+    capsys.readouterr()
+    assert list(cache.iterdir()) == []
+
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected
+    assert [f.name for f in cache.iterdir()] == ["miller_k18_N9.txt"]
 
 
 def test_lattice_build(capsys):

@@ -113,3 +113,32 @@ def test_factorize_reconstructs(m):
     f = factorize(m)
     assert f.value() == m
     assert list(f.primes) == sorted(set(f.primes))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def test_bernoulli_against_sympy(sympy):
+    for n in range(0, 121):
+        expected = Fraction(str(sympy.bernoulli(n)))
+        if n == 1:  # sympy uses B_1 = +1/2
+            expected = -expected
+        assert bernoulli(n) == expected, n
+
+
+def test_sigma_against_sympy(sympy):
+    for s in (0, 1, 3, 5, 11, 17):
+        for m in range(1, 301):
+            assert sigma(s, m) == int(sympy.divisor_sigma(m, s)), (s, m)
+
+
+def test_moebius_against_sympy(sympy):
+    for t in range(1, 2001):
+        assert moebius(t) == int(sympy.mobius(t)), t
+
+
+def test_factorize_against_sympy(sympy):
+    for m in list(range(1, 2001)) + [2**31 - 1, 600851475143, 10**7 + 19]:
+        assert factorize(m).as_dict() == sympy.factorint(m), m

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecones.linalg import rank
+from cyclecones import qseries
 from cyclecones.qseries import (
     QSeries,
     delta,
@@ -14,10 +15,10 @@ from cyclecones.qseries import (
     linear_combine,
     load_miller_basis,
     miller_basis,
-    monomial_span,
     multiply,
     power,
 )
+from oracles import jacobi_delta, monomial_miller_basis
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -40,8 +41,7 @@ def test_dim_examples():
 def test_dim_matches_monomial_rank():
     for k in range(4, 62, 2):
         d = dim_mk(k)
-        mats = [f.coefficients for f in monomial_span(k, d + 5)]
-        assert rank(mats) == d
+        assert monomial_miller_basis(k, d + 5).dimension == d
 
 
 def test_eisenstein_examples():
@@ -146,6 +146,81 @@ def test_miller_pivot_property_and_integrality():
                 assert f.coefficients[j] == (1 if i == j else 0)
             for c in f.coefficients:
                 assert c.denominator == 1
+
+
+def test_miller_basis_matches_monomial_oracle():
+    cases = [(k, n) for k in range(0, 100, 2) for n in (dim_mk(k) + 5, 60)]
+    for k, n in cases + [(18, 201)]:
+        basis = miller_basis(k, n)
+        oracle = monomial_miller_basis(k, n)
+        assert basis == oracle, (k, n)
+        assert dump_miller_basis(basis) == dump_miller_basis(oracle), (k, n)
+
+
+@pytest.mark.parametrize(
+    "wrong_delta",
+    [
+        lambda e4, e6: [0, 0, 1] + [0] * (len(e4) - 3),  # q^2: one order too high
+        lambda e4, e6: [2 * c for c in jacobi_delta(len(e4))],  # 2 Delta
+    ],
+    ids=["shifted", "doubled"],
+)
+def test_miller_certificate_rejects_a_wrong_delta(monkeypatch, wrong_delta):
+    monkeypatch.setattr(qseries, "_delta_ints", wrong_delta)
+    with pytest.raises(ArithmeticError, match="g_1 is not q"):
+        miller_basis(24, 10)
+
+
+def test_delta_rejects_an_inexact_1728_division(monkeypatch):
+    real = qseries._eisenstein_ints
+
+    def wrong_e6(k, precision):
+        out = real(k, precision)
+        if k == 6:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(qseries, "_eisenstein_ints", wrong_e6)
+    for build in (lambda: delta(10), lambda: miller_basis(12, 10)):
+        with pytest.raises(ArithmeticError, match="not divisible by 1728"):
+            build()
+
+
+def test_miller_certificate_with_asserts_stripped(run_optimized):
+    tests = [
+        f"{__file__}::test_miller_certificate_rejects_a_wrong_delta",
+        f"{__file__}::test_delta_rejects_an_inexact_1728_division",
+    ]
+    proc = run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", *tests)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "3 passed" in proc.stdout
+
+
+def _tau():
+    return [int(c) for c in delta(201).coefficients]
+
+
+def test_delta_equals_jacobi_product():
+    assert delta(201).coefficients == tuple(jacobi_delta(201))
+
+
+def test_tau_multiplicative_on_coprime_pairs():
+    tau = _tau()
+    pairs = [
+        (m, n)
+        for m in range(2, 201)
+        for n in range(m + 1, 201 // m + 1)
+        if m * n < 201 and math.gcd(m, n) == 1
+    ]
+    assert len(pairs) > 100
+    for m, n in pairs:
+        assert tau[m * n] == tau[m] * tau[n], (m, n)
+
+
+def test_tau_at_prime_squares():
+    tau = _tau()
+    for p in (2, 3, 5, 7, 11, 13):
+        assert tau[p * p] == tau[p] ** 2 - p**11, p
 
 
 def test_basis_serialization_round_trip():
