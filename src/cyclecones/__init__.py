@@ -20,6 +20,7 @@ from .classes import (
 )
 from .cones import (
     Cone,
+    NotPointedError,
     Ray,
     accumulation_cone_model,
     canonicalize,

@@ -9,11 +9,17 @@ divisors.  Coordinates are taken in the basis dual to a Miller basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .numtheory import factorize, moebius, sigma, square_divisors, zeta_negative
+from .numtheory import (
+    _Record,
+    factorize,
+    moebius,
+    sigma,
+    square_divisors,
+    zeta_negative,
+)
 from .qseries import MillerBasis, QSeries, eisenstein
 
 __all__ = [
@@ -42,29 +48,24 @@ def weight_for_signature(n: int) -> int:
     return 1 + n // 2
 
 
-@dataclass(frozen=True)
-class FunctionalCombo:
+class FunctionalCombo(_Record):
     """Finite combination sum_m a_m c_m of coefficient functionals.
 
     Terms are stored sorted by index with zero coefficients dropped.
     """
 
-    weight: int
-    terms: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("weight", "terms")
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(
-            (m, Fraction(a)) for m, a in sorted(self.terms) if a != 0
-        )
+    def __init__(
+        self, weight: int, terms: tuple[tuple[int, Fraction], ...]
+    ) -> None:
+        cleaned = tuple((m, Fraction(a)) for m, a in sorted(terms) if a != 0)
         if any(m < 0 for m, _ in cleaned):
             raise ValueError("functional indices must be >= 0")
         if len({m for m, _ in cleaned}) != len(cleaned):
             raise ValueError("duplicate functional indices")
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "terms", cleaned)
-
-    @classmethod
-    def from_dict(cls, weight: int, terms: dict[int, Fraction]) -> "FunctionalCombo":
-        return cls(weight, tuple(terms.items()))
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.terms)
@@ -85,15 +86,16 @@ class FunctionalCombo:
         return FunctionalCombo(self.weight, tuple((m, c * a) for m, a in self.terms))
 
 
-@dataclass(frozen=True)
-class ClassVector:
+class ClassVector(_Record):
     """Coordinates of a functional in the basis dual to a Miller basis."""
 
-    weight: int | None
-    coords: tuple[Fraction, ...]
+    __slots__ = ("weight", "coords")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+    def __init__(
+        self, weight: int | None, coords: tuple[Fraction, ...]
+    ) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
 
     @property
     def dimension(self) -> int:
@@ -125,7 +127,7 @@ def primitive_heegner_class(m: int, k: int) -> FunctionalCombo:
         if mu:
             idx = m // (t * t)
             acc[idx] = acc.get(idx, Fraction(0)) + mu
-    return FunctionalCombo.from_dict(k, acc)
+    return FunctionalCombo(k, tuple(acc.items()))
 
 
 def heegner_from_primitive(m: int, k: int) -> FunctionalCombo:
@@ -167,14 +169,16 @@ def evaluate(combo: FunctionalCombo, f: QSeries) -> Fraction:
     return sum((a * f.coefficients[m] for m, a in combo.terms), Fraction(0))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Two exact evaluations of one quantity, and whether they agree."""
 
-    m: int
-    n: int
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ("m", "n", "lhs", "rhs")
+
+    def __init__(self, m: int, n: int, lhs: Fraction, rhs: Fraction) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def equal(self) -> bool:

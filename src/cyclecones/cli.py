@@ -8,11 +8,9 @@ Exit codes: 0 success, 1 an exact check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .classes import (
@@ -21,12 +19,12 @@ from .classes import (
     weight_for_signature,
 )
 from .cones import (
+    NotPointedError,
     accumulation_cone_model,
     convergence_scan,
     extremal_generators,
     extremal_rays,
     canonicalize,
-    is_pointed,
     span_dimension,
 )
 from .lattice import (
@@ -39,6 +37,7 @@ from .lattice import (
     moment_matrix,
     norm_q,
 )
+from .numtheory import _Record
 from .qseries import (
     MillerBasis,
     dim_mk,
@@ -55,20 +54,38 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record):
     """Resolved invocation: weight and signature, truncation, precision,
-    output format, cache directory."""
+    output format, cache directory.  Unlike the other value classes it is
+    mutable, and therefore unhashable."""
 
-    command: str
-    weight: int
-    n: int
-    physical: bool
-    max_m: int
-    precision: int
-    fmt: str
-    cache_dir: str | None
-    primitive: bool = True
+    __slots__ = ("command", "weight", "n", "physical", "max_m", "precision",
+                 "fmt", "cache_dir", "primitive")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        command: str,
+        weight: int,
+        n: int,
+        physical: bool,
+        max_m: int,
+        precision: int,
+        fmt: str,
+        cache_dir: str | None,
+        primitive: bool = True,
+    ) -> None:
+        self.command = command
+        self.weight = weight
+        self.n = n
+        self.physical = physical
+        self.max_m = max_m
+        self.precision = precision
+        self.fmt = fmt
+        self.cache_dir = cache_dir
+        self.primitive = primitive
 
 
 def _resolve_weight(n, weight) -> tuple[int, int, bool]:
@@ -86,11 +103,11 @@ def _resolve_weight(n, weight) -> tuple[int, int, bool]:
 
 
 def _build_config(args) -> RunConfig:
-    k, n, physical = _resolve_weight(args.n, getattr(args, "weight", None))
+    k, n, physical = _resolve_weight(args.n, args.weight)
     max_m = args.max_m
     if max_m < 0:
         raise UsageError(f"--max-m must be >= 0, got {max_m}")
-    precision = getattr(args, "precision", None)
+    precision = args.precision
     if precision is None:
         precision = max_m + 1
     if precision < max_m + 1:
@@ -105,9 +122,9 @@ def _build_config(args) -> RunConfig:
         physical=physical,
         max_m=max_m,
         precision=precision,
-        fmt=getattr(args, "format", "csv"),
-        cache_dir=getattr(args, "cache_dir", None),
-        primitive=getattr(args, "primitive", True),
+        fmt=args.format,
+        cache_dir=args.cache_dir,
+        primitive=args.primitive,
     )
 
 
@@ -156,8 +173,10 @@ def _cached_basis(cfg: RunConfig) -> MillerBasis:
     return basis
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _print_csv(rows) -> None:
+    """Print rows as comma-separated lines.  No field holds a comma, a quote
+    or a line break, so none needs quoting."""
+    print("\n".join(",".join(map(str, row)) for row in rows))
 
 
 def _frac_str(x) -> str:
@@ -175,10 +194,10 @@ def cmd_identities(cfg: RunConfig) -> int:
         records.append(("primitive", primitive_eisenstein_identity(m, cfg.n, series)))
     first_failing = next((r.m for _, r in records if not r.equal), None)
     if cfg.fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["check", "m", "n", "lhs", "rhs", "equal"])
-        for check, rep in records:
-            w.writerow([check] + rep.record().split(", "))
+        _print_csv(
+            [["check", "m", "n", "lhs", "rhs", "equal"]]
+            + [[check] + rep.record().split(", ") for check, rep in records]
+        )
     else:
         doc = {
             "all_equal": first_failing is None,
@@ -212,10 +231,13 @@ def cmd_converge(cfg: RunConfig) -> int:
         cfg.weight, range(1, cfg.max_m + 1), primitive=cfg.primitive, basis=basis
     )
     if cfg.fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["m", "distance_num", "distance_den", "distance_float"])
-        for m, dist in rows:
-            w.writerow([m, dist.numerator, dist.denominator, repr(float(dist))])
+        _print_csv(
+            [["m", "distance_num", "distance_den", "distance_float"]]
+            + [
+                [m, dist.numerator, dist.denominator, repr(float(dist))]
+                for m, dist in rows
+            ]
+        )
     else:
         doc = {
             "max_m": cfg.max_m,
@@ -246,7 +268,6 @@ def cmd_cone(cfg: RunConfig) -> int:
     cone = accumulation_cone_model(cfg.weight, cfg.max_m, basis)
     half_m = max(1, cfg.max_m // 2)
     half_cone = accumulation_cone_model(cfg.weight, half_m, basis)
-    pointed = is_pointed(cone)
     doc = {
         "dim": span_dimension(cone),
         "expected_dim": dim_mk(cfg.weight),
@@ -255,11 +276,14 @@ def cmd_cone(cfg: RunConfig) -> int:
         "max_m": cfg.max_m,
         "n": cfg.n,
         "physical": cfg.physical,
-        "pointed": pointed,
         "weight": cfg.weight,
     }
-    if pointed:
+    try:
         idx = extremal_generators(cone)
+    except NotPointedError:
+        doc["pointed"] = False
+    else:
+        doc["pointed"] = True
         rays = sorted(
             {canonicalize(cone.generators[j]) for j in idx},
             key=lambda r: r.canonical,
@@ -280,7 +304,7 @@ def _parse_int_matrix(text: str, what: str):
     except json.JSONDecodeError as exc:
         raise UsageError(f"{usage}: {exc}")
     if not (isinstance(rows, list) and rows) or not all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row)
+        isinstance(row, list) and all(type(x) is int for x in row)
         for row in rows
     ):
         raise UsageError(f"{usage}, got {text}")
@@ -376,6 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_weight_args(p_id)
     p_id.add_argument("--max-m", type=int, default=200)
     p_id.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_id.set_defaults(precision=None, cache_dir=None, primitive=True)
 
     p_conv = sub.add_parser(
         "converge", help="exact ray distances toward the Kähler ray"
@@ -402,6 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cone.add_argument("--max-m", type=int, default=200)
     p_cone.add_argument("--precision", type=int)
     p_cone.add_argument("--cache-dir")
+    p_cone.set_defaults(format="json", primitive=True)
 
     p_lat = sub.add_parser("lattice", help="lattice utilities (JSON)")
     lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)

@@ -9,7 +9,6 @@ with Bland's rule; no floating point enters any decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classes import (
@@ -20,11 +19,13 @@ from .classes import (
     primitive_heegner_class,
 )
 from .linalg import rank
+from .numtheory import _Record
 from .qseries import MillerBasis, dim_mk, miller_basis
 
 __all__ = [
     "Ray",
     "Cone",
+    "NotPointedError",
     "canonicalize",
     "ray_distance",
     "omega_ray",
@@ -41,39 +42,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(_Record, compare=("canonical",)):
     """Canonical representative of an oriented ray: max |coordinate| = 1.
 
     Two rays are equal exactly when their canonical vectors are equal; the
     weight is a bookkeeping tag and does not enter comparisons.
     """
 
-    canonical: tuple[Fraction, ...]
-    weight: int | None = field(default=None, compare=False)
+    __slots__ = ("canonical", "weight")
+
+    def __init__(
+        self, canonical: tuple[Fraction, ...], weight: int | None = None
+    ) -> None:
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def dimension(self) -> int:
         return len(self.canonical)
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Finitely generated rational cone, kept as its generator list."""
+class Cone(_Record, compare=("generators",)):
+    """Finitely generated rational cone, kept as its generator list; the
+    weight is a tag and does not enter comparisons."""
 
-    generators: tuple[ClassVector, ...]
-    weight: int | None = field(default=None, compare=False)
+    __slots__ = ("generators", "weight")
 
-    def __post_init__(self) -> None:
-        dims = {g.dimension for g in self.generators}
+    def __init__(
+        self, generators: tuple[ClassVector, ...], weight: int | None = None
+    ) -> None:
+        dims = {g.dimension for g in generators}
         if len(dims) > 1:
             raise ValueError("generators must share one dimension")
-        if any(g.is_zero() for g in self.generators):
+        if any(g.is_zero() for g in generators):
             raise ValueError("zero generators are not allowed")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def dimension(self) -> int:
         return self.generators[0].dimension if self.generators else 0
+
+
+class NotPointedError(ValueError):
+    """Raised when a question needs a pointed cone and the cone contains a
+    line."""
 
 
 def canonicalize(v: ClassVector) -> Ray:
@@ -341,10 +354,13 @@ def extremal_generators(cone: Cone) -> list[int]:
     cone(C) equals the cone of the rays seen so far at every step, and a
     pointed cone has exactly one irredundant generating set, C ends as
     the extremal rays.  Each membership LP has |C| columns, not one per
-    ray.
+    ray.  A cone that is not pointed raises NotPointedError, so a caller
+    learns pointedness from this call without a second LP.
     """
     if not is_pointed(cone):
-        raise ValueError("extremal rays are only defined for pointed cones")
+        raise NotPointedError(
+            "extremal rays are only defined for pointed cones"
+        )
     groups: dict[Ray, list[int]] = {}
     for j, g in enumerate(cone.generators):
         groups.setdefault(canonicalize(g), []).append(j)

@@ -10,11 +10,11 @@ matrices carry an exact Gauss reduction to a unique GL_2(Z) representative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .linalg import det, gram_signature, rref
+from .numtheory import _Record
 
 __all__ = [
     "EvenLattice",
@@ -50,15 +50,15 @@ E8_GRAM = tuple(
 U_GRAM = ((0, 1), (1, 0))
 
 
-@dataclass(frozen=True)
-class EvenLattice:
+class EvenLattice(_Record):
     """Gram-matrix model of an even lattice with fixed basis."""
 
-    gram: tuple[tuple[int, ...], ...]
-    signature: tuple[int, int]
+    __slots__ = ("gram", "signature")
 
-    def __post_init__(self) -> None:
-        g = self.gram
+    def __init__(
+        self, gram: tuple[tuple[int, ...], ...], signature: tuple[int, int]
+    ) -> None:
+        g = gram
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("gram matrix must be square")
@@ -66,6 +66,8 @@ class EvenLattice:
             raise ValueError("gram matrix must be symmetric")
         if any(g[i][i] % 2 for i in range(n)):
             raise ValueError("even lattice needs even diagonal")
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "signature", signature)
 
     @property
     def rank(self) -> int:
@@ -105,25 +107,25 @@ def norm_q(lattice: EvenLattice, lam) -> int:
     return inner(lattice, lam, lam) // 2
 
 
-@dataclass(frozen=True)
-class HalfIntegralMatrix:
+class HalfIntegralMatrix(_Record):
     """Symmetric half-integral d x d matrix, stored doubled (2T integral).
 
     The diagonal of T is integral, i.e. the doubled matrix has even
     diagonal; off-diagonal doubled entries may be odd.
     """
 
-    doubled: tuple[tuple[int, ...], ...]
+    __slots__ = ("doubled",)
 
-    def __post_init__(self) -> None:
-        d = self.dimension
-        m = self.doubled
+    def __init__(self, doubled: tuple[tuple[int, ...], ...]) -> None:
+        m = doubled
+        d = len(m)
         if any(len(row) != d for row in m):
             raise ValueError("matrix must be square")
         if any(m[i][j] != m[j][i] for i in range(d) for j in range(i)):
             raise ValueError("matrix must be symmetric")
         if any(m[i][i] % 2 for i in range(d)):
             raise ValueError("diagonal of T must be integral (doubled even)")
+        object.__setattr__(self, "doubled", doubled)
 
     @property
     def dimension(self) -> int:
@@ -179,18 +181,13 @@ def primitive_part(lam) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in lam), g
 
 
-def vector_of_norm(
-    lattice: EvenLattice, m: int, require_primitive: bool = True
-) -> tuple[int, ...]:
-    """Witness vector of norm q = m: e + m f in the first hyperbolic plane.
-
-    The construction is primitive for every m >= 1, so the flag only
-    records the caller's expectation.
-    """
+def vector_of_norm(lattice: EvenLattice, m: int) -> tuple[int, ...]:
+    """Primitive witness vector of norm q = m: e + m f in the first
+    hyperbolic plane."""
     if m < 1:
         raise ValueError(f"norm must be >= 1, got {m}")
     v = (1, m) + (0,) * (lattice.rank - 2)
-    if require_primitive and not is_primitive(v):
+    if not is_primitive(v):
         raise AssertionError("witness construction must be primitive")
     return v
 
@@ -276,17 +273,30 @@ def transform(t: HalfIntegralMatrix, u) -> HalfIntegralMatrix:
     return HalfIntegralMatrix(_congruent(t, u))
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(_Record):
     """One member of the common-component family: the scaled tuple, its
     moment matrix, and the exactness checks on it."""
 
-    j: int
-    vectors: tuple[tuple[int, ...], tuple[int, ...]]
-    moment: HalfIntegralMatrix
-    determinant: Fraction
-    moment_is_expected_diagonal: bool
-    span_matches_base: bool
+    __slots__ = ("j", "vectors", "moment", "determinant",
+                 "moment_is_expected_diagonal", "span_matches_base")
+
+    def __init__(
+        self,
+        j: int,
+        vectors: tuple[tuple[int, ...], tuple[int, ...]],
+        moment: HalfIntegralMatrix,
+        determinant: Fraction,
+        moment_is_expected_diagonal: bool,
+        span_matches_base: bool,
+    ) -> None:
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "moment", moment)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(
+            self, "moment_is_expected_diagonal", moment_is_expected_diagonal
+        )
+        object.__setattr__(self, "span_matches_base", span_matches_base)
 
 
 def common_component_family(

@@ -8,9 +8,9 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from operator import attrgetter
 
 __all__ = [
     "Factorization",
@@ -24,22 +24,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Record:
+    """Base of the package's value classes.
+
+    A subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``object.__setattr__``; afterwards assigning to or
+    deleting a field raises ``AttributeError``.  ``==`` and ``hash()`` see
+    the fields named by the class keyword ``compare`` (all fields by
+    default), and ``repr`` shows every field.  ``copy`` and ``pickle``
+    rebuild an instance through ``__init__``, since its fields cannot be
+    assigned.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # an attrgetter is not a descriptor, so it is called as
+        # self._key(obj); with one field it returns the field itself
+        cls._key = attrgetter(*(compare or cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Factorization(_Record):
     """Prime factorization of a positive integer as (prime, exponent) pairs.
 
     Primes are strictly increasing and exponents >= 1; the empty tuple
     represents ``1``.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        primes = [p for p, _ in self.pairs]
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        primes = [p for p, _ in pairs]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in self.pairs):
+        if any(e < 1 for _, e in pairs):
             raise ValueError("exponents must be >= 1")
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def primes(self) -> tuple[int, ...]:

@@ -9,10 +9,9 @@ Delta^j construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numtheory import bernoulli, sigma
+from .numtheory import _Record, bernoulli, sigma
 
 __all__ = [
     "QSeries",
@@ -29,22 +28,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(_Record):
     """Truncated q-expansion: coefficients of q^0 .. q^(N-1), exact.
 
     The weight is carried along so that arithmetic can enforce the usual
     rules (addition needs equal weights, multiplication adds them).
     """
 
-    weight: int
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("weight", "coefficients")
 
-    def __post_init__(self) -> None:
-        if len(self.coefficients) < 1:
+    def __init__(
+        self, weight: int, coefficients: tuple[Fraction, ...]
+    ) -> None:
+        if len(coefficients) < 1:
             raise ValueError("a QSeries needs at least one coefficient")
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
+            self, "coefficients", tuple(Fraction(c) for c in coefficients)
         )
 
     @property
@@ -197,12 +197,14 @@ def delta(precision: int) -> QSeries:
     return QSeries(12, tuple(_delta_ints(e4, e6)))
 
 
-@dataclass(frozen=True)
-class MillerBasis:
+class MillerBasis(_Record):
     """Echelon basis f_0 .. f_{d-1} of weight-k forms: f_i = q^i + O(q^d)."""
 
-    weight: int
-    basis: tuple[QSeries, ...]
+    __slots__ = ("weight", "basis")
+
+    def __init__(self, weight: int, basis: tuple[QSeries, ...]) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dimension(self) -> int:
@@ -292,7 +294,12 @@ def dump_miller_basis(basis: MillerBasis) -> str:
 
 
 def load_miller_basis(text: str) -> MillerBasis:
-    """Parse the text format written by dump_miller_basis."""
+    """Parse the text format written by dump_miller_basis.
+
+    Raises ValueError when the text breaks the format, holds a non-integer
+    coefficient, or lacks the identity block in its first d columns.  An
+    altered integer beyond column d passes; only recomputing catches it.
+    """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty basis file")
@@ -316,11 +323,17 @@ def load_miller_basis(text: str) -> MillerBasis:
         coeffs = []
         for tok in tokens:
             p, _, q = tok.partition("/")
-            coeffs.append(Fraction(int(p), int(q)))
+            c = Fraction(int(p), int(q))
+            if c.denominator != 1:
+                raise ValueError(f"coefficient {tok} is not an integer")
+            coeffs.append(c)
         basis.append(QSeries(k, tuple(coeffs)))
     out = MillerBasis(k, tuple(basis))
     if out.dimension != dim_mk(k):
         raise ValueError(
             f"file claims dimension {out.dimension}, weight {k} has {dim_mk(k)}"
         )
+    for i, f in enumerate(out.basis):
+        if f.coefficients[:d] != tuple(int(i == j) for j in range(d)):
+            raise ValueError(f"row {i} lacks the identity pivot block")
     return out

@@ -12,10 +12,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
-def run_optimized():
-    """Run `python -O <args>` from the repository root with the package
-    importable, so that checks which must survive assert-stripping are
-    exercised with asserts stripped."""
+def run_python():
+    """Run `python <args>` from the repository root with the package
+    importable."""
 
     def run(*args):
         env = dict(os.environ)
@@ -23,8 +22,19 @@ def run_optimized():
             p for p in (SRC, env.get("PYTHONPATH")) if p
         )
         return subprocess.run(
-            [sys.executable, "-O", *args],
+            [sys.executable, *args],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
         )
+
+    return run
+
+
+@pytest.fixture
+def run_optimized(run_python):
+    """Run `python -O <args>`, so that checks which must survive
+    assert-stripping are exercised with asserts stripped."""
+
+    def run(*args):
+        return run_python("-O", *args)
 
     return run

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from cyclecones.cli import main
+from cyclecones import cones
+from cyclecones.cli import RunConfig, main
 
 
 def run(capsys, *argv):
@@ -114,17 +115,49 @@ def test_cone_dim_2(capsys):
     assert doc["pointed"] is True and doc["extremal_stable"] is True
 
 
+def test_cone_report_runs_the_pointedness_lp_once(capsys, monkeypatch):
+    columns = []
+    lp = cones.lp_feasible
+
+    def counted(n_vars, *args, **kwargs):
+        columns.append(n_vars)
+        return lp(n_vars, *args, **kwargs)
+
+    monkeypatch.setattr(cones, "lp_feasible", counted)
+    code, _, _ = run(capsys, "cone", "--n", "34", "--max-m", "200")
+    assert code == 0
+    # one pointedness LP of 201 columns for the cone and one of 101 for
+    # the half cone; checking the cone's pointedness twice made 309 / 1,109
+    assert (len(columns), sum(columns)) == (308, 908)
+    assert columns.count(201) == 1
+
+    columns.clear()
+    code, out, _ = run(capsys, "cone", "--weight", "4", "--max-m", "30")
+    assert code == 0
+    assert len(columns) == 1
+    assert out == (
+        "{\n"
+        '  "dim": 1,\n'
+        '  "expected_dim": 1,\n'
+        '  "generator_count": 31,\n'
+        '  "half_max_m": 15,\n'
+        '  "max_m": 30,\n'
+        '  "n": 6,\n'
+        '  "physical": false,\n'
+        '  "pointed": false,\n'
+        '  "weight": 4\n'
+        "}\n"
+    )
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    code, cold, err_cold = run(
-        capsys, "converge", "--n", "34", "--max-m", "8", "--cache-dir", cache
-    )
+    argv = ("converge", "--n", "34", "--max-m", "8", "--cache-dir", cache)
+    code, cold, err_cold = run(capsys, *argv)
     assert code == 0
     files = list((tmp_path / "cache").iterdir())
     assert len(files) == 1 and files[0].name == "miller_k18_N9.txt"
-    code, warm, err_warm = run(
-        capsys, "converge", "--n", "34", "--max-m", "8", "--cache-dir", cache
-    )
+    code, warm, err_warm = run(capsys, *argv)
     assert code == 0
     assert warm == cold
     assert err_warm == ""
@@ -136,14 +169,21 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code == 0
     assert len(list((tmp_path / "cache").iterdir())) == 1
 
-    # corrupt cache: warn, recompute, byte-identical output
-    files[0].write_text("truncated nonsense")
-    code, again, err = run(
-        capsys, "converge", "--n", "34", "--max-m", "8", "--cache-dir", cache
-    )
-    assert code == 0
-    assert again == cold
-    assert "corrupt" in err
+    # corrupt cache: warn, recompute and rewrite, byte-identical output;
+    # "-4284/1" is f_1's q^3 coefficient, "0/1 1/1" starts row f_1
+    good = files[0].read_text()
+    assert good.count("-4284/1") == 1 and good.count("\n0/1 1/1 ") == 1
+    for bad in (
+        "truncated nonsense",
+        good.replace("-4284/1", "-4284/5"),  # not an integer
+        good.replace("\n0/1 1/1 ", "\n0/1 2/1 "),  # breaks the identity block
+    ):
+        files[0].write_text(bad)
+        code, again, err = run(capsys, *argv)
+        assert code == 0
+        assert again == cold
+        assert "corrupt" in err
+        assert files[0].read_text() == good
 
 
 def test_cache_write_failure_leaves_no_cache_file(tmp_path, capsys, monkeypatch):
@@ -227,6 +267,27 @@ def test_determinism(capsys):
     assert runs[0] == runs[1]
 
 
+def test_run_config_is_mutable_and_unhashable():
+    cfg = RunConfig("converge", 18, 34, True, 8, 9, "csv", None)
+    assert cfg == RunConfig("converge", 18, 34, True, 8, 9, "csv", None, True)
+    assert repr(cfg).startswith("RunConfig(command='converge', weight=18, ")
+    cfg.max_m = 4
+    assert cfg.max_m == 4
+    with pytest.raises(TypeError):
+        hash(cfg)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv(run_python):
+    # -S keeps site-packages start-up hooks out of the module list
+    proc = run_python(
+        "-S", "-c",
+        "import sys, cyclecones.cli; "
+        "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])
@@ -238,6 +299,8 @@ def test_usage_error_exit_code_from_argparse():
     [
         ["moment", "--n", "10", "--vectors", "[1,2]"],
         ["reduce", "--n", "10", "--doubled", '[[1,"a"]]'],
+        ["moment", "--n", "10", "--vectors", "[[true,0,0,0,1,0,0,0,0,0,0,0]]"],
+        ["reduce", "--n", "10", "--doubled", "[[2,false],[false,2]]"],
     ],
 )
 def test_matrix_input_rejected_with_asserts_stripped(run_optimized, argv):

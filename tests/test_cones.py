@@ -10,6 +10,7 @@ from cyclecones import cones
 from cyclecones.classes import ClassVector, primitive_heegner_class
 from cyclecones.cones import (
     Cone,
+    NotPointedError,
     Ray,
     accumulation_cone_model,
     canonicalize,
@@ -184,8 +185,9 @@ def test_extremal_examples():
     assert extremal_generators(cone_of((1, 0))) == [0]
     # a repeated ray is not spuriously non-extremal
     assert extremal_generators(cone_of((1, 0), (2, 0), (0, 1))) == [0, 1, 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPointedError):
         extremal_generators(cone_of((1, 0), (-1, 0)))
+    assert issubclass(NotPointedError, ValueError)
 
 
 def test_span_dimension_examples():
@@ -193,6 +195,21 @@ def test_span_dimension_examples():
     assert span_dimension(cone_of((1, 0), (2, 0))) == 1
     assert span_dimension(cone_of((1, 0), (0, 1), (1, 1))) == 2
     assert span_dimension(Cone(())) == 0
+
+
+def test_ray_and_cone_equality_ignore_weight():
+    r = canonicalize(ClassVector(18, (Fraction(2), Fraction(-1))))
+    assert r.weight == 18
+    assert r == Ray(r.canonical) and hash(r) == hash(Ray(r.canonical))
+    assert r != Ray(r.canonical[::-1], 18)
+    assert len({r, Ray(r.canonical, 26)}) == 1
+    assert repr(r) == f"Ray(canonical={r.canonical!r}, weight=18)"
+    c = cone_of((1, 0), (0, 1))
+    tagged = Cone(c.generators, 18)
+    assert c == tagged and hash(c) == hash(tagged)
+    assert c != cone_of((0, 1), (1, 0))
+    # generators keep their own weight, which ClassVector does compare
+    assert Cone((ClassVector(18, (1, 0)),)) != cone_of((1, 0))
 
 
 def test_cone_rejects_bad_generators():

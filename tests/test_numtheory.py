@@ -1,11 +1,21 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclecones.classes import ClassVector, IdentityReport, heegner_class
+from cyclecones.cones import Cone, Ray
+from cyclecones.lattice import (
+    HalfIntegralMatrix,
+    build_even_unimodular,
+    common_component_family,
+)
 from cyclecones.numtheory import (
+    Factorization,
     bernoulli,
     divisors,
     factorize,
@@ -14,6 +24,7 @@ from cyclecones.numtheory import (
     square_divisors,
     zeta_negative,
 )
+from cyclecones.qseries import MillerBasis, QSeries
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -142,3 +153,36 @@ def test_moebius_against_sympy(sympy):
 def test_factorize_against_sympy(sympy):
     for m in list(range(1, 2001)) + [2**31 - 1, 600851475143, 10**7 + 19]:
         assert factorize(m).as_dict() == sympy.factorint(m), m
+
+
+FROZEN = [
+    Factorization(((2, 1), (3, 2))),
+    QSeries(6, (1, -504)),
+    MillerBasis(6, (QSeries(6, (1, -504)),)),
+    heegner_class(2, 6),
+    ClassVector(6, (Fraction(1, 2),)),
+    IdentityReport(1, 10, Fraction(1), Fraction(1)),
+    Ray((Fraction(1),), 6),
+    Cone((ClassVector(6, (Fraction(1, 2),)),), 6),
+    build_even_unimodular(10),
+    HalfIntegralMatrix(((2, 1), (1, 2))),
+    common_component_family(build_even_unimodular(10), 3, 2)[0],
+]
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=lambda v: type(v).__name__)
+def test_value_classes_are_frozen(value):
+    fields = type(value).__slots__
+    before = [getattr(value, f) for f in fields]
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, f, None)
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert [getattr(value, f) for f in fields] == before
+    assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+    assert hash(copy.copy(value)) == hash(value)
+    shown = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
+    assert repr(value) == f"{type(value).__name__}({shown})"

@@ -239,3 +239,14 @@ def test_load_rejects_corrupt_text():
                 text[:-20]):
         with pytest.raises((ValueError, IndexError)):
             load_miller_basis(bad)
+    # files that parse but fail the checks that need no recomputation
+    f0, f1 = text.splitlines()[1:]
+    assert f0.startswith("1/1 0/1 ") and f1.endswith(" 4830/1")
+    short = text.replace("precision 6", "precision 1")
+    for bad, why in (
+        (text.replace("4830/1", "4831/2"), "not an integer"),
+        (text.replace(f0, "1/1 1/1 " + f0[8:]), "identity pivot block"),
+        (short.replace(f0, "1/1").replace(f1, "0/1"), "identity pivot block"),
+    ):
+        with pytest.raises(ValueError, match=why):
+            load_miller_basis(bad)
