@@ -4,12 +4,14 @@ Rays are oriented (positive scaling only) and carry a canonical
 representative normalized so the largest absolute coordinate is 1, which
 keeps every computation inside rational arithmetic.  Cone questions
 (pointedness, membership, extremality) are decided by an exact simplex
-with Bland's rule; no floating point enters any decision.
+with Bland's rule on integer rows; no floating point enters any decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 from .classes import (
     ClassVector,
@@ -174,92 +176,118 @@ def accumulation_cone_model(
 
 
 # ---------------------------------------------------------------------------
-# Exact LP core: Phase-I simplex over Fractions with Bland's rule.
+# Exact LP core: Phase-I simplex on integer rows with Bland's rule.
 # ---------------------------------------------------------------------------
 
 
-def _phase1(A, b):
-    """Feasibility of {A x = b, x >= 0}: witness list or None.
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a positive factor)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _phase1(A, b, den, n):
+    """Feasibility of {x >= 0 : (A[i] . x) / den[i] == b[i] / den[i]}.
+
+    A (n columns) and b hold ints, den positive ints.  Returns None or
+    (X, D) with ints X and D > 0, the witness being X / D.
 
     Dense Phase-I simplex: one artificial variable per row, minimize their
     sum, Bland's rule for both entering and leaving choices (no cycling).
+    No Fraction is built: each tableau row is held in ints as the rational
+    tableau's row times a positive factor, its entry in its basic column.
+    Pricing reads signs only, the ratio test cross-multiplies, and a pivot
+    on p = T[r][e] > 0 replaces every other row by p*T_i - T_i[e]*T_r over
+    its gcd (Edmonds 1967).  Row i's artificial column holds den[i], so the
+    start is the rational tableau with row i scaled by den[i] and the
+    Phase-I objective is the rational system's; unit artificials would
+    weight the artificial sum by den and can end at another vertex.  The
+    canonical tableau at a basis is unique, so the pivots and the witness
+    are those of the rational tableau.
     """
     m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
+    total = n + m
     rows = []
     for i in range(m):
-        coef = [Fraction(x) for x in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            coef = [-x for x in coef]
-            rhs = -rhs
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        rows.append(coef + art + [rhs])
+        sign = -1 if b[i] < 0 else 1
+        art = [0] * m
+        art[i] = den[i]
+        rows.append([sign * x for x in A[i]] + art + [sign * b[i]])
     basis = [n + i for i in range(m)]
-    total = n + m
-    # reduced costs for minimizing the artificial sum
-    red = [Fraction(0)] * (total + 1)
-    for j in range(n, total):
-        red[j] = Fraction(1)
-    for row in rows:
-        for j in range(total + 1):
-            red[j] -= row[j]
+    # reduced costs for minimizing the artificial sum, times lcm(den) > 0
+    scale = lcm(*den)
+    red = [0] * n + [scale] * m + [0]
+    for i, row in enumerate(rows):
+        f = scale // den[i]
+        red = [x - f * y for x, y in zip(red, row)]
+    red = _primitive(red)
 
     while True:
         enter = next((j for j in range(total) if red[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
-        for i in range(m):
-            a = rows[i][enter]
-            if a > 0:
-                ratio = rows[i][total] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    leave, best = i, ratio
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                # row[total] / a against best_rhs / best_a, both a > 0
+                lhs, rhs = row[total] * best_a, best_rhs * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave, best_rhs, best_a = i, row[total], a
         if leave is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
         prow = rows[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        if red[enter] != 0:
-            f = red[enter]
-            red = [x - f * y for x, y in zip(red, prow)]
+            f = rows[i][enter]
+            if i != leave and f != 0:
+                rows[i] = _primitive(
+                    [p * x - f * y for x, y in zip(rows[i], prow)]
+                )
+        f = red[enter]
+        red = _primitive([p * x - f * y for x, y in zip(red, prow)])
         basis[leave] = enter
 
-    residual = sum(
-        (rows[i][total] for i in range(m) if basis[i] >= n), Fraction(0)
-    )
-    if residual != 0:
+    # every rhs is >= 0, so the artificial sum is 0 iff each term is
+    if any(rows[i][total] for i in range(m) if basis[i] >= n):
         return None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rows[i][total]
-    return x
+    D = lcm(*(rows[i][j] for i, j in enumerate(basis) if j < n))
+    X = [0] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            X[j] = rows[i][total] * (D // rows[i][j])
+    return X, D
+
+
+def _integral(coef, rhs):
+    """(coefficients, rhs, den): the row times den, the positive lcm of its
+    denominators, as ints; the feasible set is unchanged."""
+    entries = (*coef, rhs)
+    for x in entries:
+        if not isinstance(x, Rational):
+            raise TypeError(
+                f"LP coefficient {x!r} is not rational (int or Fraction)"
+            )
+    den = lcm(*(x.denominator for x in entries))
+    ints = [x.numerator * (den // x.denominator) for x in entries]
+    return ints[:-1], ints[-1], den
 
 
 def lp_feasible(n_vars: int, ge=(), eq=(), nonneg: bool = False):
     """Exact feasibility of a rational linear system; witness or None.
 
     ``ge`` rows are pairs (coefficients, rhs) meaning coeffs . x >= rhs,
-    ``eq`` rows mean coeffs . x == rhs.  Variables are free unless
-    ``nonneg`` is set.  A returned witness is verified against every row
-    before being handed back.
+    ``eq`` rows mean coeffs . x == rhs.  Coefficients are ints or
+    Fractions; anything else (a float, say) raises TypeError.  Variables
+    are free unless ``nonneg`` is set.  A returned witness is a tuple of
+    Fractions, verified in ints against every row before being handed back.
     """
-    ge = [(list(map(Fraction, c)), Fraction(r)) for c, r in ge]
-    eq = [(list(map(Fraction, c)), Fraction(r)) for c, r in eq]
-    for coef, _ in ge + eq:
+    eq = [_integral(c, r) for c, r in eq]
+    ge = [_integral(c, r) for c, r in ge]
+    for coef, _, _ in eq + ge:
         if len(coef) != n_vars:
             raise ValueError(
                 f"row length {len(coef)} does not match {n_vars} variables"
@@ -269,31 +297,34 @@ def lp_feasible(n_vars: int, ge=(), eq=(), nonneg: bool = False):
 
     def expand(coef):
         base = coef if nonneg else coef + [-c for c in coef]
-        return base + [Fraction(0)] * n_slack
+        return base + [0] * n_slack
 
-    A, b = [], []
-    for coef, rhs in eq:
+    A, b, den = [], [], []
+    for coef, rhs, s in eq:
         A.append(expand(coef))
         b.append(rhs)
-    for i, (coef, rhs) in enumerate(ge):
+        den.append(s)
+    for i, (coef, rhs, s) in enumerate(ge):
         row = expand(coef)
-        row[width + i] = Fraction(-1)
+        row[width + i] = -s  # the surplus column, scaled with its row
         A.append(row)
         b.append(rhs)
-    sol = _phase1(A, b)
+        den.append(s)
+    sol = _phase1(A, b, den, width + n_slack)
     if sol is None:
         return None
+    X, D = sol
     if nonneg:
-        x = sol[:n_vars]
+        x = X[:n_vars]
     else:
-        x = [sol[j] - sol[n_vars + j] for j in range(n_vars)]
-    for i, (coef, rhs) in enumerate(eq):
-        if sum(c * v for c, v in zip(coef, x)) != rhs:
+        x = [X[j] - X[n_vars + j] for j in range(n_vars)]
+    for i, (coef, rhs, _) in enumerate(eq):
+        if sum(c * v for c, v in zip(coef, x)) != rhs * D:
             raise ArithmeticError(f"LP witness violates equality row {i}")
-    for i, (coef, rhs) in enumerate(ge):
-        if sum(c * v for c, v in zip(coef, x)) < rhs:
+    for i, (coef, rhs, _) in enumerate(ge):
+        if sum(c * v for c, v in zip(coef, x)) < rhs * D:
             raise ArithmeticError(f"LP witness violates inequality row {i}")
-    return tuple(x)
+    return tuple(Fraction(v, D) for v in x)
 
 
 def member(v: ClassVector, cone: Cone) -> bool:

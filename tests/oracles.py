@@ -1,10 +1,12 @@
 """Brute-force oracles shared by the cone/lattice/acceptance tests.
 
-These stay deliberately independent of the simplex: membership runs over
-Caratheodory subsets solved by row reduction, extremality tests each ray
-against all the others by that membership, pointedness enumerates
-minimal one-signed relations, and the GL_2(Z)/GL_n(Z) samplers multiply
-elementary matrices.  The weight-18 ray distances have a closed form built
+Except for ``fraction_phase1``, the Fraction tableau whose feasibility
+and witness the integer simplex must reproduce, these stay deliberately
+independent of the simplex: membership runs over Caratheodory subsets
+solved by row reduction, extremality tests each ray against all the
+others by that membership, pointedness enumerates minimal one-signed
+relations, and the GL_2(Z)/GL_n(Z) samplers multiply elementary
+matrices.  The weight-18 ray distances have a closed form built
 from Delta*E_6 in plain ints, independent of the q-series module, and
 Delta itself comes from the Jacobi product.  Miller bases have a second
 construction: the monomials E_4^a E_6^b, powered in plain ints, reduced to
@@ -97,6 +99,105 @@ def brute_pointed(gens):
 B18 = Fraction(43867, 798)  # Bernoulli number B_18, written out
 C18 = -36 / B18  # q^1 coefficient of E_18
 
+
+def fraction_phase1(A, b):
+    """Feasibility of {A x = b, x >= 0}: witness list or None.
+
+    Dense Phase-I simplex over Fractions: one artificial variable per row,
+    minimize their sum, Bland's rule for both entering and leaving choices
+    (no cycling).  The reference for ``cones._phase1``, whose integer-row
+    tableau must reproduce its feasibility and witness.
+    """
+    m = len(A)
+    if m == 0:
+        return []
+    n = len(A[0])
+    rows = []
+    for i in range(m):
+        coef = [Fraction(x) for x in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            coef = [-x for x in coef]
+            rhs = -rhs
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        rows.append(coef + art + [rhs])
+    basis = [n + i for i in range(m)]
+    total = n + m
+    # reduced costs for minimizing the artificial sum
+    red = [Fraction(0)] * (total + 1)
+    for j in range(n, total):
+        red[j] = Fraction(1)
+    for row in rows:
+        for j in range(total + 1):
+            red[j] -= row[j]
+
+    while True:
+        enter = next((j for j in range(total) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][total] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    leave, best = i, ratio
+        if leave is None:
+            raise AssertionError("phase-1 objective cannot be unbounded")
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        prow = rows[leave]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        if red[enter] != 0:
+            f = red[enter]
+            red = [x - f * y for x, y in zip(red, prow)]
+        basis[leave] = enter
+
+    residual = sum(
+        (rows[i][total] for i in range(m) if basis[i] >= n), Fraction(0)
+    )
+    if residual != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][total]
+    return x
+
+
+def fraction_lp_feasible(n_vars, ge=(), eq=(), nonneg=False):
+    """``lp_feasible``'s standard form solved by ``fraction_phase1``.
+
+    Free variables are split as x = x+ - x-, each ``ge`` row gets one
+    surplus column, and the witness (or None) is read back in Fractions.
+    """
+    ge, eq = list(ge), list(eq)
+    A, b = [], []
+    for i, (coef, rhs) in enumerate(eq + ge):
+        row = [Fraction(c) for c in coef]
+        if not nonneg:
+            row += [-c for c in row]
+        surplus = [Fraction(0)] * len(ge)
+        if i >= len(eq):
+            surplus[i - len(eq)] = Fraction(-1)
+        A.append(row + surplus)
+        b.append(Fraction(rhs))
+    if not A:
+        return (Fraction(0),) * n_vars
+    sol = fraction_phase1(A, b)
+    if sol is None:
+        return None
+    if nonneg:
+        return tuple(sol[:n_vars])
+    return tuple(sol[j] - sol[n_vars + j] for j in range(n_vars))
 
 def eisenstein_ints(k, precision):
     """E_4 or E_6 in plain ints: 1 + c sum sigma_(k-1)(n) q^n with

@@ -1,12 +1,14 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclecones import cones
+from cyclecones.cli import main
 from cyclecones.classes import ClassVector, primitive_heegner_class
 from cyclecones.cones import (
     Cone,
@@ -27,7 +29,12 @@ from cyclecones.cones import (
     span_dimension,
 )
 from cyclecones.qseries import dim_mk, miller_basis
-from oracles import brute_extremal, brute_member, brute_pointed
+from oracles import (
+    brute_extremal,
+    brute_member,
+    brute_pointed,
+    fraction_lp_feasible,
+)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=10)
 
@@ -138,8 +145,32 @@ def test_lp_witness_satisfies_system():
     assert sum(w) == 4
 
 
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_lp_empty_system_returns_the_zero_witness(nonneg):
+    assert lp_feasible(2, nonneg=nonneg) == (Fraction(0), Fraction(0))
+    assert lp_feasible(0, nonneg=nonneg) == ()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        {"ge": [([0.5], 1)]},
+        {"ge": [([1], 0.5)]},
+        {"eq": [([Decimal("0.5")], 1)]},
+        {"eq": [(["1/2"], 1)]},
+    ],
+)
+def test_lp_rejects_non_rational_coefficients(monkeypatch, rows):
+    def no_pivot(*args):
+        raise AssertionError("the simplex was reached")
+
+    monkeypatch.setattr(cones, "_phase1", no_pivot)
+    with pytest.raises(TypeError, match="not rational"):
+        lp_feasible(1, **rows)
+
+
 def test_lp_rejects_a_wrong_witness(monkeypatch):
-    monkeypatch.setattr(cones, "_phase1", lambda A, b: [0] * len(A[0]))
+    monkeypatch.setattr(cones, "_phase1", lambda A, b, den, n: ([0] * n, 1))
     with pytest.raises(ArithmeticError, match="equality row 0"):
         lp_feasible(1, eq=[([1], 1)], nonneg=True)
     with pytest.raises(ArithmeticError, match="inequality row 1"):
@@ -150,6 +181,90 @@ def test_lp_rejects_a_wrong_witness_with_asserts_stripped(run_optimized):
     test = f"{__file__}::test_lp_rejects_a_wrong_witness"
     proc = run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+LP_ENTRIES = [Fraction(c) for c in (0, 0, 0, 1, -1, 2, -3)] + [
+    Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
+]
+
+
+@st.composite
+def lp_systems(draw):
+    """Small rational systems: many zeros, so zero rows and tied ratios
+    are common, and negative right-hand sides."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from(LP_ENTRIES)
+    row = st.tuples(st.lists(entry, min_size=n, max_size=n), entry)
+    ge = draw(st.lists(row, max_size=3))
+    eq = draw(st.lists(row, min_size=0 if ge else 1, max_size=3))
+    return n, ge, eq
+
+
+def _q(*rows):
+    return [([Fraction(c) for c in coef], Fraction(rhs)) for coef, rhs in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_systems(), st.booleans())
+# scaling a row to ints without scaling its artificial column by the same
+# factor reweights the Phase-I objective and ends at another vertex here
+@example((3, [], _q(([0, "-2/3", -1], "-2/3"), ([-3, -1, "-2/3"], "5/4"))),
+         False)
+# Bland's tie-break between two rows of equal ratio decides the vertex here
+@example((3, _q(([0, "1/2", "-2/3"], 0), (["1/2", "1/2", 1], 1)),
+          _q((["-2/3", "1/2", -3], -3))), True)
+def test_integer_simplex_matches_the_fraction_tableau(system, nonneg):
+    n, ge, eq = system
+    expected = fraction_lp_feasible(n, ge, eq, nonneg)
+    assert lp_feasible(n, ge=ge, eq=eq, nonneg=nonneg) == expected
+
+
+def test_integer_simplex_on_beales_cycling_example():
+    # Beale's (1955) LP, on which the textbook simplex cycles: its
+    # constraints have zero right-hand sides, so pivots are degenerate.
+    # Here its objective is bounded below by a target; the maximum is
+    # 1/20.  Under Bland's rule both tableaux must stop at one vertex.
+    le = [
+        ([Fraction(1, 4), -60, Fraction(-1, 25), 9], 0),
+        ([Fraction(1, 2), -90, Fraction(-1, 50), 3], 0),
+        ([0, 0, 1, 0], 1),
+    ]
+    ge = [([-c for c in coef], -rhs) for coef, rhs in le]
+    objective = [Fraction(3, 4), -150, Fraction(1, 50), -6]
+    bounds = [([int(i == j) for j in range(4)], 0) for i in range(4)]
+    for target, feasible in ((0, True), (Fraction(1, 20), True),
+                             (Fraction(1, 19), False)):
+        rows = ge + [(objective, target)]
+        for nonneg, system in ((True, rows), (False, rows + bounds)):
+            w = lp_feasible(4, ge=system, nonneg=nonneg)
+            assert w == fraction_lp_feasible(4, system, (), nonneg)
+            assert (w is not None) == feasible
+    optimum = lp_feasible(4, ge=ge + [(objective, Fraction(1, 20))],
+                          nonneg=True)
+    assert optimum == (Fraction(1, 25), 0, 1, 0)
+
+
+def test_cone_report_lps_match_the_fraction_tableau(capsys, monkeypatch):
+    calls = []
+    lp, phase1 = cones.lp_feasible, cones._phase1
+
+    def recorded(n_vars, ge=(), eq=(), nonneg=False):
+        w = lp(n_vars, ge=ge, eq=eq, nonneg=nonneg)
+        calls.append((n_vars, ge, eq, nonneg, w))
+        return w
+
+    def integral(A, b, den, n):
+        # the simplex sees ints only, so no Fraction arithmetic runs in it
+        assert all(type(v) is int for row in (*A, b, den) for v in row)
+        return phase1(A, b, den, n)
+
+    monkeypatch.setattr(cones, "lp_feasible", recorded)
+    monkeypatch.setattr(cones, "_phase1", integral)
+    assert main(["cone", "--n", "130", "--max-m", "62"]) == 0
+    capsys.readouterr()
+    assert len(calls) > 100
+    for n_vars, ge, eq, nonneg, w in calls:
+        assert w == fraction_lp_feasible(n_vars, ge, eq, nonneg)
 
 
 def test_member_examples():
