@@ -9,6 +9,7 @@ from .classes import (
     IdentityReport,
     coordinates,
     eisenstein_coefficient_identity,
+    eisenstein_identity_scan,
     evaluate,
     heegner_class,
     heegner_from_primitive,

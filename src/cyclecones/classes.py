@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import factorial
 
 from .numtheory import (
+    Factorization,
     _Record,
     factorize,
-    moebius,
-    sigma,
     square_divisors,
     zeta_negative,
 )
@@ -34,6 +33,7 @@ __all__ = [
     "evaluate",
     "eisenstein_coefficient_identity",
     "primitive_eisenstein_identity",
+    "eisenstein_identity_scan",
     "limit_prefactor",
     "weight_for_signature",
 ]
@@ -121,13 +121,20 @@ def primitive_heegner_class(m: int, k: int) -> FunctionalCombo:
     """Primitive Heegner class P_m = sum over t^2 | m of mu(t) c_{m/t^2}."""
     if m < 1:
         raise ValueError(f"Heegner index must be >= 1, got {m}")
-    acc: dict[int, Fraction] = {}
-    for t in square_divisors(m):
-        mu = moebius(t)
-        if mu:
-            idx = m // (t * t)
-            acc[idx] = acc.get(idx, Fraction(0)) + mu
-    return FunctionalCombo(k, tuple(acc.items()))
+    return FunctionalCombo(k, tuple(_primitive_terms(m, factorize(m))))
+
+
+def _primitive_terms(m: int, f: Factorization) -> list[tuple[int, int]]:
+    """The pairs (m/t^2, mu(t)) of P_m with mu(t) != 0, m factored as f.
+
+    Those t are the squarefree products of primes p with p^2 | m, so each
+    such prime doubles the list: t keeps or takes p, and mu flips sign.
+    """
+    terms = [(m, 1)]
+    for p, e in f.pairs:
+        if e > 1:
+            terms += [(i // (p * p), -mu) for i, mu in terms]
+    return terms
 
 
 def heegner_from_primitive(m: int, k: int) -> FunctionalCombo:
@@ -194,6 +201,45 @@ class IdentityReport(_Record):
         )
 
 
+def _identity_series(m: int, n: int, series: QSeries | None) -> QSeries:
+    """E_{1+n/2} to precision m + 1, or the given series once checked."""
+    k = weight_for_signature(n)
+    if m < 1:
+        raise ValueError(f"index must be >= 1, got {m}")
+    if series is None:
+        return eisenstein(k, m + 1)
+    if series.weight != k:
+        raise ValueError(f"series weight {series.weight} != weight {k}")
+    if series.precision <= m:
+        raise ValueError(f"precision {series.precision} too small for index {m}")
+    return series
+
+
+def _coefficient_report(
+    m: int, n: int, f: Factorization, coeffs, zeta: Fraction
+) -> IdentityReport:
+    """c_m(E) read from the q-expansion against 2 sigma_{n/2}(m) / zeta,
+    with m factored as f and zeta = zeta(-n/2)."""
+    return IdentityReport(m, n, coeffs[m], 2 * f.sigma(n // 2) / zeta)
+
+
+def _primitive_report(
+    m: int, n: int, f: Factorization, coeffs, zeta: Fraction
+) -> IdentityReport:
+    """P_m(E) read from the q-expansion against its Euler product.
+
+    (2 m^s / zeta) prod_{p | m} (1 + p^-s) with s = n/2 is 2/zeta times the
+    integer prod_{p^e || m} p^(s(e-1)) (p^s + 1).
+    """
+    s = n // 2
+    lhs = sum(mu * coeffs[i] for i, mu in _primitive_terms(m, f))
+    euler = 1
+    for p, e in f.pairs:
+        q = p**s
+        euler *= q ** (e - 1) * (q + 1)
+    return IdentityReport(m, n, lhs, 2 * euler / zeta)
+
+
 def eisenstein_coefficient_identity(
     m: int, n: int, series: QSeries | None = None
 ) -> IdentityReport:
@@ -202,14 +248,10 @@ def eisenstein_coefficient_identity(
     The left side reads the q-expansion; the right side is the closed form.
     A precomputed Eisenstein series may be passed to amortize scans.
     """
-    k = weight_for_signature(n)
-    if m < 1:
-        raise ValueError(f"coefficient index must be >= 1, got {m}")
-    if series is None:
-        series = eisenstein(k, m + 1)
-    lhs = evaluate(heegner_class(m, k), series)
-    rhs = 2 * sigma(n // 2, m) / zeta_negative(n // 2)
-    return IdentityReport(m, n, lhs, rhs)
+    series = _identity_series(m, n, series)
+    return _coefficient_report(
+        m, n, factorize(m), series.coefficients, zeta_negative(n // 2)
+    )
 
 
 def primitive_eisenstein_identity(
@@ -221,17 +263,33 @@ def primitive_eisenstein_identity(
     q-expansion.  Right: (2 m^{n/2} / zeta(-n/2)) * prod_{p | m} (1 + p^{-n/2}),
     cleared to a single exact rational.
     """
+    series = _identity_series(m, n, series)
+    return _primitive_report(
+        m, n, factorize(m), series.coefficients, zeta_negative(n // 2)
+    )
+
+
+def eisenstein_identity_scan(
+    n: int, max_m: int
+) -> list[tuple[str, IdentityReport]]:
+    """Both Eisenstein identity checks for 1 <= m <= max_m, in the order
+    ("coefficient", m = 1), ("primitive", m = 1), ("coefficient", m = 2), ...
+
+    E_{1+n/2} is built once by its divisor-sum sieve and each m is factored
+    once; the reports equal those of eisenstein_coefficient_identity and
+    primitive_eisenstein_identity.
+    """
     k = weight_for_signature(n)
-    if m < 1:
-        raise ValueError(f"class index must be >= 1, got {m}")
-    if series is None:
-        series = eisenstein(k, m + 1)
-    lhs = evaluate(primitive_heegner_class(m, k), series)
-    s = n // 2
-    rhs = Fraction(2 * m**s) / zeta_negative(s)
-    for p in factorize(m).primes:
-        rhs *= 1 + Fraction(1, p**s)
-    return IdentityReport(m, n, lhs, rhs)
+    if max_m < 0:
+        raise ValueError(f"max_m must be >= 0, got {max_m}")
+    coeffs = eisenstein(k, max_m + 1).coefficients
+    zeta = zeta_negative(n // 2)
+    out = []
+    for m in range(1, max_m + 1):
+        f = factorize(m)
+        out.append(("coefficient", _coefficient_report(m, n, f, coeffs, zeta)))
+        out.append(("primitive", _primitive_report(m, n, f, coeffs, zeta)))
+    return out
 
 
 def limit_prefactor(r: int, r_prime: int) -> Fraction:

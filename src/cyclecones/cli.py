@@ -13,11 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .classes import (
-    eisenstein_coefficient_identity,
-    primitive_eisenstein_identity,
-    weight_for_signature,
-)
+from .classes import eisenstein_identity_scan, weight_for_signature
 from .cones import (
     NotPointedError,
     accumulation_cone_model,
@@ -42,7 +38,6 @@ from .qseries import (
     MillerBasis,
     dim_mk,
     dump_miller_basis,
-    eisenstein,
     load_miller_basis,
     miller_basis,
 )
@@ -187,11 +182,7 @@ def cmd_identities(cfg: RunConfig) -> int:
     """Both Eisenstein identity checks for 1 <= m <= max_m; exit 0 iff all
     comparisons are exactly equal."""
     _note_physicality(cfg)
-    series = eisenstein(cfg.weight, cfg.max_m + 1)
-    records = []
-    for m in range(1, cfg.max_m + 1):
-        records.append(("coefficient", eisenstein_coefficient_identity(m, cfg.n, series)))
-        records.append(("primitive", primitive_eisenstein_identity(m, cfg.n, series)))
+    records = eisenstein_identity_scan(cfg.n, cfg.max_m)
     first_failing = next((r.m for _, r in records if not r.equal), None)
     if cfg.fmt == "csv":
         _print_csv(

@@ -396,20 +396,24 @@ def extremal_generators(cone: Cone) -> list[int]:
     for j, g in enumerate(cone.generators):
         groups.setdefault(canonicalize(g), []).append(j)
 
-    def inside(ray: Ray, others: list[Ray]) -> bool:
-        gens = tuple(ClassVector(cone.weight, r.canonical) for r in others)
-        rep = ClassVector(cone.weight, ray.canonical)
-        return member(rep, Cone(gens, cone.weight))
+    # one vector per distinct ray, named by its position: the sweep then
+    # builds no ClassVector and never hashes or compares a Fraction tuple
+    vectors = [ClassVector(cone.weight, ray.canonical) for ray in groups]
 
-    kept: list[Ray] = []
-    for ray in groups:
-        if inside(ray, kept):
+    def inside(i: int, others: list[int]) -> bool:
+        gens = tuple(vectors[j] for j in others)
+        return member(vectors[i], Cone(gens, cone.weight))
+
+    kept: list[int] = []
+    for i in range(len(vectors)):
+        if inside(i, kept):
             continue
         for old in list(kept):
-            if inside(old, [r for r in kept if r != old] + [ray]):
+            if inside(old, [j for j in kept if j != old] + [i]):
                 kept.remove(old)
-        kept.append(ray)
-    return sorted(j for ray in kept for j in groups[ray])
+        kept.append(i)
+    members = list(groups.values())
+    return sorted(j for i in kept for j in members[i])
 
 
 def extremal_rays(cone: Cone) -> set[Ray]:

@@ -96,6 +96,18 @@ class Factorization(_Record):
             n *= p**e
         return n
 
+    def sigma(self, s: int) -> int:
+        """Sum of the s-th powers of the divisors, by the multiplicative
+        formula prod_p (p^(s(e+1)) - 1) / (p^s - 1)."""
+        total = 1
+        for p, e in self.pairs:
+            if s == 0:
+                total *= e + 1
+            else:
+                q = p**s
+                total *= (q ** (e + 1) - 1) // (q - 1)
+        return total
+
 
 def factorize(m: int) -> Factorization:
     """Factor m >= 1 by trial division.
@@ -160,18 +172,11 @@ def zeta_negative(s: int) -> Fraction:
     return -bernoulli(s + 1) / (s + 1)
 
 
-def sigma(s: int, m: int) -> Fraction:
+def sigma(s: int, m: int) -> int:
     """Sum of the s-th powers of the positive divisors of m, exactly."""
     if m < 1:
         raise ValueError(f"sigma requires m >= 1, got {m}")
-    total = 1
-    for p, e in factorize(m).pairs:
-        if s == 0:
-            total *= e + 1
-        else:
-            q = p**s
-            total *= (q ** (e + 1) - 1) // (q - 1)
-    return Fraction(total)
+    return factorize(m).sigma(s)
 
 
 def moebius(t: int) -> int:

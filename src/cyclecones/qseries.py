@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numtheory import _Record, bernoulli, sigma
+from .numtheory import _Record, bernoulli
 
 __all__ = [
     "QSeries",
@@ -152,10 +152,13 @@ def eisenstein(k: int, precision: int) -> QSeries:
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     factor = Fraction(-2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)]
-    for m in range(1, precision):
-        coeffs.append(factor * sigma(k - 1, m))
-    return QSeries(k, tuple(coeffs))
+    # divisor-sum sieve: sums[m] = sigma_{k-1}(m) once d^(k-1) has been
+    # added at every multiple of every d, and no m is factorized
+    sums = [0] * precision
+    for d in range(1, precision):
+        power = d ** (k - 1)
+        sums[d::d] = [x + power for x in sums[d::d]]
+    return QSeries(k, (Fraction(1), *(factor * x for x in sums[1:])))
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:

@@ -10,7 +10,9 @@ matrices.  The weight-18 ray distances have a closed form built
 from Delta*E_6 in plain ints, independent of the q-series module, and
 Delta itself comes from the Jacobi product.  Miller bases have a second
 construction: the monomials E_4^a E_6^b, powered in plain ints, reduced to
-echelon form by Fraction row reduction.
+echelon form by Fraction row reduction.  E_k has a brute-force
+divisor-sum construction with an Akiyama-Tanigawa Bernoulli number, and
+the primitive Heegner class P_m its square-divisor Moebius sum.
 """
 
 import functools
@@ -18,7 +20,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from cyclecones.classes import FunctionalCombo
 from cyclecones.linalg import rref
+from cyclecones.numtheory import moebius, square_divisors
 from cyclecones.qseries import MillerBasis, QSeries
 
 
@@ -199,14 +203,44 @@ def fraction_lp_feasible(n_vars, ge=(), eq=(), nonneg=False):
         return tuple(sol[:n_vars])
     return tuple(sol[j] - sol[n_vars + j] for j in range(n_vars))
 
+
+def bernoulli_akiyama_tanigawa(n):
+    """Bernoulli number B_n by the Akiyama-Tanigawa triangle, adjusted to
+    B_1 = -1/2; independent of numtheory.bernoulli's recurrence."""
+    a = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        a[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return -a[0] if n == 1 else a[0]
+
+
 def eisenstein_ints(k, precision):
-    """E_4 or E_6 in plain ints: 1 + c sum sigma_(k-1)(n) q^n with
-    c = 240 or -504, divisor sums by brute force."""
-    c = {4: 240, 6: -504}[k]
+    """E_k for even k >= 4 as 1 + c sum sigma_(k-1)(n) q^n with
+    c = -2k/B_k from the Akiyama-Tanigawa triangle and the divisor sums by
+    brute force over every d <= n.  The coefficients are plain ints when c
+    is an integer (c = 240 for E_4, -504 for E_6), Fractions otherwise."""
+    c = Fraction(-2 * k) / bernoulli_akiyama_tanigawa(k)
+    if c.denominator == 1:
+        c = c.numerator
     return (1,) + tuple(
         c * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
         for n in range(1, precision)
     )
+
+
+def moebius_primitive_class(m, k):
+    """P_m = sum over t^2 | m of mu(t) c_{m/t^2}, built by enumerating the
+    square divisors and calling moebius for each; the reference for
+    classes.primitive_heegner_class, which reads the terms off one
+    factorization of m."""
+    acc = {}
+    for t in square_divisors(m):
+        mu = moebius(t)
+        if mu:
+            idx = m // (t * t)
+            acc[idx] = acc.get(idx, Fraction(0)) + mu
+    return FunctionalCombo(k, tuple(acc.items()))
 
 
 def int_product(a, b):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from cyclecones import classes
 from cyclecones.classes import (
     FunctionalCombo,
     coordinates,
     eisenstein_coefficient_identity,
+    eisenstein_identity_scan,
     evaluate,
     heegner_class,
     heegner_from_primitive,
@@ -16,8 +18,9 @@ from cyclecones.classes import (
     primitive_heegner_class,
     weight_for_signature,
 )
-from cyclecones.numtheory import moebius, sigma, zeta_negative
+from cyclecones.numtheory import sigma, zeta_negative
 from cyclecones.qseries import dim_mk, eisenstein, linear_combine, miller_basis
+from oracles import moebius_primitive_class
 
 
 def test_heegner_and_omega():
@@ -165,13 +168,47 @@ def test_limit_prefactor():
 
 
 def test_primitive_class_matches_moebius_sum():
-    for m in (4, 8, 9, 12, 16, 36, 72, 100):
-        want = {}
-        t = 1
-        while t * t <= m:
-            if m % (t * t) == 0 and moebius(t):
-                idx = m // (t * t)
-                want[idx] = want.get(idx, 0) + moebius(t)
-            t += 1
-        want = {i: Fraction(c) for i, c in want.items() if c}
-        assert primitive_heegner_class(m, 6).as_dict() == want
+    for m in range(1, 5001):
+        assert primitive_heegner_class(m, 6) == moebius_primitive_class(m, 6), m
+
+
+@pytest.mark.parametrize("n", (10, 18, 26, 50))
+def test_identity_scan_matches_the_per_index_checks(n):
+    series = eisenstein(weight_for_signature(n), 201)
+    want = []
+    for m in range(1, 201):
+        want.append(("coefficient", eisenstein_coefficient_identity(m, n, series)))
+        want.append(("primitive", primitive_eisenstein_identity(m, n, series)))
+    got = eisenstein_identity_scan(n, 200)
+    assert got == want
+    assert all(rep.equal for _, rep in got)
+    assert [(c, r.m) for c, r in eisenstein_identity_scan(n, 2)] == [
+        ("coefficient", 1), ("primitive", 1), ("coefficient", 2), ("primitive", 2)
+    ]
+    assert eisenstein_identity_scan(n, 0) == []
+
+
+def test_identity_scan_factorizes_each_index_once(monkeypatch):
+    calls = []
+    real = classes.factorize
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(classes, "factorize", counted)
+    eisenstein_identity_scan(18, 500)
+    assert calls == list(range(1, 501))
+
+
+def test_identity_checks_reject_bad_input():
+    with pytest.raises(ValueError):
+        eisenstein_identity_scan(10, -1)
+    with pytest.raises(ValueError):
+        eisenstein_identity_scan(12, 5)
+    with pytest.raises(ValueError):
+        primitive_eisenstein_identity(0, 10)
+    with pytest.raises(ValueError):  # too short for c_5
+        eisenstein_coefficient_identity(5, 10, eisenstein(6, 5))
+    with pytest.raises(ValueError):  # E_4 at signature (10, 2), weight 6
+        primitive_eisenstein_identity(2, 10, eisenstein(4, 5))

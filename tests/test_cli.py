@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from cyclecones import cones
+from cyclecones import classes, cones
 from cyclecones.cli import RunConfig, main
+from cyclecones.qseries import QSeries
 
 
 def run(capsys, *argv):
@@ -43,6 +44,38 @@ def test_identities_json(capsys):
     assert doc["weight"] == 6 and doc["physical"] is True
     assert len(doc["records"]) == 4
     assert list(doc) == sorted(doc)
+
+
+def test_identities_report_a_failed_check(capsys, monkeypatch):
+    # E_6 with c_4 off by one: both checks at m = 4 read c_4 (P_4 = c_4 -
+    # c_1), and no other index up to 6 does
+    real = classes.eisenstein
+
+    def wrong_c4(k, precision):
+        coeffs = list(real(k, precision).coefficients)
+        coeffs[4] += 1
+        return QSeries(k, tuple(coeffs))
+
+    monkeypatch.setattr(classes, "eisenstein", wrong_c4)
+    code, out, err = run(capsys, "identities", "--n", "10", "--max-m", "6")
+    assert code == 1
+    assert err.strip().splitlines()[-1] == "identity check failed first at m = 4"
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[0], r[1], r[-1]) for r in rows if r[-1] != "true"] == [
+        ("coefficient", "4", "false"), ("primitive", "4", "false")
+    ]
+    assert len(rows) == 12
+
+    code, out, err = run(
+        capsys, "identities", "--n", "10", "--max-m", "6", "--format", "json"
+    )
+    assert code == 1
+    assert err.strip().splitlines()[-1] == "identity check failed first at m = 4"
+    doc = json.loads(out)
+    assert doc["all_equal"] is False
+    assert [(r["check"], r["m"]) for r in doc["records"] if not r["equal"]] == [
+        ("coefficient", 4), ("primitive", 4)
+    ]
 
 
 def test_identities_usage_errors(capsys):

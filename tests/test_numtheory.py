@@ -25,16 +25,7 @@ from cyclecones.numtheory import (
     zeta_negative,
 )
 from cyclecones.qseries import MillerBasis, QSeries
-
-
-def bernoulli_akiyama_tanigawa(n):
-    """Independent oracle: Akiyama-Tanigawa triangle, adjusted to B_1 = -1/2."""
-    a = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        a[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-    return -a[0] if n == 1 else a[0]
+from oracles import bernoulli_akiyama_tanigawa
 
 
 def test_bernoulli_examples():
@@ -76,6 +67,7 @@ def test_sigma_examples_and_bruteforce():
     assert sigma(5, 1) == 1
     assert sigma(1, 6) == 12
     assert sigma(5, 2) == 33
+    assert type(sigma(5, 2)) is int
     for m in range(1, 300):
         for s in (0, 1, 5):
             assert sigma(s, m) == sum(d**s for d in range(1, m + 1) if m % d == 0)

@@ -18,7 +18,7 @@ from cyclecones.qseries import (
     multiply,
     power,
 )
-from oracles import jacobi_delta, monomial_miller_basis
+from oracles import eisenstein_ints, jacobi_delta, monomial_miller_basis
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -51,6 +51,11 @@ def test_eisenstein_examples():
     assert e6.coefficients == (1, -504)
     for k in (4, 8, 10, 16):
         assert eisenstein(k, 1).coefficients[0] == 1
+
+
+def test_eisenstein_matches_brute_force_divisor_sums():
+    for k in range(4, 61, 2):
+        assert eisenstein(k, 300).coefficients == eisenstein_ints(k, 300), k
 
 
 def test_eisenstein_rejects_bad_weight():
