@@ -48,18 +48,25 @@ def weight_for_signature(n: int) -> int:
     return 1 + n // 2
 
 
+def _exact(c) -> int | Fraction:
+    """c itself when it is an int or a Fraction, else Fraction(c)."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 class FunctionalCombo(_Record):
     """Finite combination sum_m a_m c_m of coefficient functionals.
 
-    Terms are stored sorted by index with zero coefficients dropped.
+    Terms are stored sorted by index with zero coefficients dropped; an
+    int or Fraction coefficient is kept as given, any other value is
+    converted by Fraction.
     """
 
     __slots__ = ("weight", "terms")
 
     def __init__(
-        self, weight: int, terms: tuple[tuple[int, Fraction], ...]
+        self, weight: int, terms: tuple[tuple[int, int | Fraction], ...]
     ) -> None:
-        cleaned = tuple((m, Fraction(a)) for m, a in sorted(terms) if a != 0)
+        cleaned = tuple((m, _exact(a)) for m, a in sorted(terms) if a != 0)
         if any(m < 0 for m, _ in cleaned):
             raise ValueError("functional indices must be >= 0")
         if len({m for m, _ in cleaned}) != len(cleaned):
@@ -67,7 +74,7 @@ class FunctionalCombo(_Record):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "terms", cleaned)
 
-    def as_dict(self) -> dict[int, Fraction]:
+    def as_dict(self) -> dict[int, int | Fraction]:
         return dict(self.terms)
 
     def max_index(self) -> int:
@@ -78,7 +85,7 @@ class FunctionalCombo(_Record):
             raise ValueError("weight mismatch")
         acc = dict(self.terms)
         for m, a in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + a
+            acc[m] = acc.get(m, 0) + a
         return FunctionalCombo(self.weight, tuple(acc.items()))
 
     def scale(self, c) -> "FunctionalCombo":
@@ -87,15 +94,19 @@ class FunctionalCombo(_Record):
 
 
 class ClassVector(_Record):
-    """Coordinates of a functional in the basis dual to a Miller basis."""
+    """Coordinates of a functional in the basis dual to a Miller basis.
+
+    An int or Fraction coordinate is kept as given; any other value is
+    converted by Fraction.
+    """
 
     __slots__ = ("weight", "coords")
 
     def __init__(
-        self, weight: int | None, coords: tuple[Fraction, ...]
+        self, weight: int | None, coords: tuple[int | Fraction, ...]
     ) -> None:
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+        object.__setattr__(self, "coords", tuple(map(_exact, coords)))
 
     @property
     def dimension(self) -> int:
@@ -109,12 +120,12 @@ def heegner_class(m: int, k: int) -> FunctionalCombo:
     """Class of the m-th Heegner divisor: the single functional c_m."""
     if m < 1:
         raise ValueError(f"Heegner index must be >= 1, got {m}")
-    return FunctionalCombo(k, ((m, Fraction(1)),))
+    return FunctionalCombo(k, ((m, 1),))
 
 
 def omega_class(k: int) -> FunctionalCombo:
     """Class of the Kähler form: -c_0."""
-    return FunctionalCombo(k, ((0, Fraction(-1)),))
+    return FunctionalCombo(k, ((0, -1),))
 
 
 def primitive_heegner_class(m: int, k: int) -> FunctionalCombo:
@@ -148,7 +159,11 @@ def heegner_from_primitive(m: int, k: int) -> FunctionalCombo:
 
 
 def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
-    """Coordinate i is the combo applied to the i-th Miller basis element."""
+    """Coordinate i is the combo applied to the i-th Miller basis element.
+
+    The Miller rows are ints, so an integer combination has int
+    coordinates.
+    """
     if combo.weight != basis.weight:
         raise ValueError(
             f"combo weight {combo.weight} != basis weight {basis.weight}"
@@ -159,13 +174,13 @@ def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
             f"{combo.max_index()}"
         )
     coords = tuple(
-        sum((a * f.coefficients[m] for m, a in combo.terms), Fraction(0))
+        sum(a * f.coefficients[m] for m, a in combo.terms)
         for f in basis.basis
     )
     return ClassVector(combo.weight, coords)
 
 
-def evaluate(combo: FunctionalCombo, f: QSeries) -> Fraction:
+def evaluate(combo: FunctionalCombo, f: QSeries) -> int | Fraction:
     """Apply the functional to a form: sum_m a_m (coefficient of q^m in f)."""
     if combo.weight != f.weight:
         raise ValueError(f"combo weight {combo.weight} != form weight {f.weight}")
@@ -173,7 +188,7 @@ def evaluate(combo: FunctionalCombo, f: QSeries) -> Fraction:
         raise ValueError(
             f"precision {f.precision} too small for index {combo.max_index()}"
         )
-    return sum((a * f.coefficients[m] for m, a in combo.terms), Fraction(0))
+    return sum(a * f.coefficients[m] for m, a in combo.terms)
 
 
 class IdentityReport(_Record):

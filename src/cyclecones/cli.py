@@ -110,6 +110,13 @@ def _build_config(args) -> RunConfig:
             f"--precision {precision} too small: need at least max-m + 1 = "
             f"{max_m + 1}"
         )
+    if args.command == "cone" and max_m < 1:
+        raise UsageError("cone reports need --max-m >= 1")
+    if args.cache_dir is not None:
+        try:
+            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot use --cache-dir {args.cache_dir}: {exc}")
     return RunConfig(
         command=args.command,
         weight=k,
@@ -157,7 +164,6 @@ def _cached_basis(cfg: RunConfig) -> MillerBasis:
         except (ValueError, ArithmeticError) as exc:
             _warn(f"warning: ignoring corrupt cache file {path}: {exc}")
     basis = miller_basis(k, n_prec)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(dump_miller_basis(basis))
@@ -253,8 +259,6 @@ def cmd_converge(cfg: RunConfig) -> int:
 def cmd_cone(cfg: RunConfig) -> int:
     """Span dimension, pointedness, extremal rays, and a stabilization
     comparison at max_m/2 versus max_m for the truncated cone model."""
-    if cfg.max_m < 1:
-        raise UsageError("cone reports need --max-m >= 1")
     basis = _cached_basis(cfg)
     cone = accumulation_cone_model(cfg.weight, cfg.max_m, basis)
     half_m = max(1, cfg.max_m // 2)

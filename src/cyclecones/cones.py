@@ -1,10 +1,11 @@
 """Exact rational ray and cone geometry.
 
-Rays are oriented (positive scaling only) and carry a canonical
-representative normalized so the largest absolute coordinate is 1, which
-keeps every computation inside rational arithmetic.  Cone questions
-(pointedness, membership, extremality) are decided by an exact simplex
-with Bland's rule on integer rows; no floating point enters any decision.
+Rays are oriented (positive scaling only).  A printed ray is its canonical
+representative, normalized so the largest absolute coordinate is 1; the
+extremality sweep instead names a ray by its primitive integer vector.
+Cone questions (pointedness, membership, extremality) are decided by an
+exact simplex with Bland's rule on integer rows; no floating point enters
+any decision.
 """
 
 from __future__ import annotations
@@ -92,11 +93,14 @@ class NotPointedError(ValueError):
 
 
 def canonicalize(v: ClassVector) -> Ray:
-    """Scale by the positive rational 1/max|coord|; orientation preserved."""
+    """Scale by the positive rational 1/max|coord|; orientation preserved.
+
+    The canonical coordinates are Fractions, also for int coordinates.
+    """
     if v.is_zero():
         raise ValueError("cannot canonicalize the zero vector")
     m = max(abs(c) for c in v.coords)
-    return Ray(tuple(c / m for c in v.coords), v.weight)
+    return Ray(tuple(Fraction(c, m) for c in v.coords), v.weight)
 
 
 def ray_distance(r1: Ray, r2: Ray) -> Fraction:
@@ -267,7 +271,8 @@ def _integral(coef, rhs):
     denominators, as ints; the feasible set is unchanged."""
     entries = (*coef, rhs)
     for x in entries:
-        if not isinstance(x, Rational):
+        # the type test first: isinstance against an ABC is slow
+        if type(x) is not int and not isinstance(x, Rational):
             raise TypeError(
                 f"LP coefficient {x!r} is not rational (int or Fraction)"
             )
@@ -334,16 +339,17 @@ def member(v: ClassVector, cone: Cone) -> bool:
         raise ValueError(
             f"dimension mismatch: {v.dimension} vs {cone.dimension}"
         )
-    if v.is_zero():
+    return _in_cone(v.coords, [g.coords for g in cone.generators])
+
+
+def _in_cone(v, gens) -> bool:
+    """Whether the coordinate vector v is a nonnegative combination of the
+    coordinate vectors gens, all of one length."""
+    if not any(v):
         return True
-    if not cone.generators:
+    if not gens:
         return False
-    d = v.dimension
-    gens = cone.generators
-    eq = [
-        ([g.coords[i] for g in gens], v.coords[i])
-        for i in range(d)
-    ]
+    eq = [([g[i] for g in gens], v[i]) for i in range(len(v))]
     return lp_feasible(len(gens), eq=eq, nonneg=True) is not None
 
 
@@ -360,8 +366,8 @@ def is_pointed(cone: Cone) -> bool:
         return True
     d = cone.dimension
     gens = cone.generators
-    eq = [([g.coords[i] for g in gens], Fraction(0)) for i in range(d)]
-    eq.append(([Fraction(1)] * len(gens), Fraction(1)))
+    eq = [([g.coords[i] for g in gens], 0) for i in range(d)]
+    eq.append(([1] * len(gens), 1))
     return lp_feasible(len(gens), eq=eq, nonneg=True) is None
 
 
@@ -369,16 +375,27 @@ def pointedness_witness(cone: Cone):
     """Rational y with <y, g> >= 1 for all generators, or None."""
     if not cone.generators:
         return ()
-    ge = [(list(g.coords), Fraction(1)) for g in cone.generators]
+    ge = [(list(g.coords), 1) for g in cone.generators]
     return lp_feasible(cone.dimension, ge=ge)
+
+
+def _ray_key(coords) -> tuple[int, ...]:
+    """The primitive integer vector on the oriented ray of a nonzero
+    rational vector: the coordinates times the lcm of their denominators,
+    over the gcd of the result.  Two nonzero vectors lie on one oriented
+    ray exactly when their keys are equal."""
+    den = lcm(*(c.denominator for c in coords))
+    return tuple(_primitive([c.numerator * (den // c.denominator)
+                             for c in coords]))
 
 
 def extremal_generators(cone: Cone) -> list[int]:
     """Indices of generators spanning extremal rays of a pointed cone.
 
-    Generators on a common ray are grouped first, so a repeated ray cannot
-    be reported non-extremal just because a positive multiple of it is
-    present.  The distinct rays are then swept in generator order while
+    Generators on a common ray are grouped first, by their primitive
+    integer vectors, so a repeated ray cannot be reported non-extremal
+    just because a positive multiple of it is present.  The distinct rays
+    are then swept in generator order, as those integer vectors, while
     an irredundant set C is kept (Clarkson's output-sensitive redundancy
     removal): a ray inside cone(C) is dropped; otherwise it joins C and
     every older member lying in the cone of the rest of C leaves.  Since
@@ -392,20 +409,16 @@ def extremal_generators(cone: Cone) -> list[int]:
         raise NotPointedError(
             "extremal rays are only defined for pointed cones"
         )
-    groups: dict[Ray, list[int]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for j, g in enumerate(cone.generators):
-        groups.setdefault(canonicalize(g), []).append(j)
-
-    # one vector per distinct ray, named by its position: the sweep then
-    # builds no ClassVector and never hashes or compares a Fraction tuple
-    vectors = [ClassVector(cone.weight, ray.canonical) for ray in groups]
+        groups.setdefault(_ray_key(g.coords), []).append(j)
+    keys = list(groups)
 
     def inside(i: int, others: list[int]) -> bool:
-        gens = tuple(vectors[j] for j in others)
-        return member(vectors[i], Cone(gens, cone.weight))
+        return _in_cone(keys[i], [keys[j] for j in others])
 
     kept: list[int] = []
-    for i in range(len(vectors)):
+    for i in range(len(keys)):
         if inside(i, kept):
             continue
         for old in list(kept):
@@ -423,7 +436,7 @@ def extremal_rays(cone: Cone) -> set[Ray]:
 
 
 def span_dimension(cone: Cone) -> int:
-    """Rank of the generator matrix by exact Gaussian elimination."""
+    """Rank of the generator matrix by exact fraction-free elimination."""
     if not cone.generators:
         return 0
     return rank([g.coords for g in cone.generators])

@@ -1,8 +1,11 @@
-"""Small exact linear-algebra helpers over Fractions (dense, desk scale)."""
+"""Small exact linear-algebra helpers over the rationals (dense, desk
+scale): rank by fraction-free integer elimination, the rest over
+Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["rref", "rank", "det", "gram_signature"]
 
@@ -34,7 +37,32 @@ def rref(rows) -> list[list[Fraction]]:
 
 
 def rank(rows) -> int:
-    return len(rref(rows))
+    """Rank of a rational matrix, without building a Fraction for int rows.
+
+    Rows are taken one at a time and scaled to integers.  Each is reduced
+    against the echelon rows kept so far, as p*row - f*pivot_row with
+    p the pivot, which changes no rank, and divided by its gcd; a row that
+    does not vanish joins them.  The scan stops once the rank equals the
+    column count, so the remaining rows are never read.
+    """
+    echelon = []  # (pivot column, primitive integer row)
+    for row in rows:
+        row = [x if type(x) is int else Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (den // x.denominator) for x in row]
+        for col, pivot_row in echelon:
+            f = row[col]
+            if f:
+                p = pivot_row[col]
+                row = [p * x - f * y for x, y in zip(row, pivot_row)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        g = gcd(*row)
+        echelon.append((col, [x // g for x in row]))
+        if len(echelon) == len(row):
+            break
+    return len(echelon)
 
 
 def det(rows) -> Fraction:

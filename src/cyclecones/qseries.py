@@ -1,10 +1,11 @@
 """Exact q-expansion engine for level-1 modular forms.
 
 A form of even weight k is represented by the first N coefficients of its
-q-expansion, all exact rationals.  The module provides the normalized
-Eisenstein series E_k, the discriminant cusp form, the weight-k dimension
-formula, and echelonized (Miller) bases built in integers by Miller's
-Delta^j construction.
+q-expansion, all exact: ints where the form is integral (the discriminant
+and the Miller bases), Fractions otherwise.  The module provides the
+normalized Eisenstein series E_k, the discriminant cusp form, the weight-k
+dimension formula, and echelonized (Miller) bases built in integers by
+Miller's Delta^j construction.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ __all__ = [
 class QSeries(_Record):
     """Truncated q-expansion: coefficients of q^0 .. q^(N-1), exact.
 
-    The weight is carried along so that arithmetic can enforce the usual
-    rules (addition needs equal weights, multiplication adds them).
+    An int or Fraction coefficient is kept as given; any other value is
+    converted by ``Fraction``.  The weight is carried along so that
+    arithmetic can enforce the usual rules (addition needs equal weights,
+    multiplication adds them).
     """
 
     __slots__ = ("weight", "coefficients")
@@ -43,9 +46,11 @@ class QSeries(_Record):
         if len(coefficients) < 1:
             raise ValueError("a QSeries needs at least one coefficient")
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in coefficients)
+        coefficients = tuple(
+            c if type(c) is int or type(c) is Fraction else Fraction(c)
+            for c in coefficients
         )
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def precision(self) -> int:
@@ -225,8 +230,9 @@ def miller_basis(k: int, precision: int) -> MillerBasis:
     Approach, section 2.2): with d = dim M_k and 4a + 6b = k - 12(d - 1),
     the forms g_j = Delta^j E_4^(3(d-1-j)) E_4^a E_6^b, j = 0 .. d-1, span
     M_k and satisfy g_j = q^j + O(q^(j+1)), so back-substituting the
-    unitriangular block leaves the Miller basis.  Both that shape and the
-    final identity block are checked and raise ArithmeticError.
+    unitriangular block leaves the Miller basis, whose rows hold ints.
+    Both that shape and the final identity block are checked and raise
+    ArithmeticError.
 
     Empty spaces (odd k, k = 2, k < 0) yield a dimension-0 basis rather
     than an error.
@@ -283,7 +289,8 @@ def dump_miller_basis(basis: MillerBasis) -> str:
     """Serialize to the on-disk text format (bit-exact round trip).
 
     Header line "weight k, dimension d, precision N", then d lines of N
-    rationals written as "p/q" separated by single spaces.
+    rationals written as "p/q" separated by single spaces; the integer
+    rows of a Miller basis are written "n/1".
     """
     lines = [
         f"weight {basis.weight}, dimension {basis.dimension}, "
@@ -299,8 +306,9 @@ def dump_miller_basis(basis: MillerBasis) -> str:
 def load_miller_basis(text: str) -> MillerBasis:
     """Parse the text format written by dump_miller_basis.
 
-    Raises ValueError when the text breaks the format, holds a non-integer
-    coefficient, or lacks the identity block in its first d columns.  An
+    Rows come back as ints.  Raises ValueError when the text breaks the
+    format, holds a coefficient not written "n/1" (so "4/2" and "2/0" are
+    rejected too), or lacks the identity block in its first d columns.  An
     altered integer beyond column d passes; only recomputing catches it.
     """
     lines = text.splitlines()
@@ -326,10 +334,9 @@ def load_miller_basis(text: str) -> MillerBasis:
         coeffs = []
         for tok in tokens:
             p, _, q = tok.partition("/")
-            c = Fraction(int(p), int(q))
-            if c.denominator != 1:
+            if q != "1":
                 raise ValueError(f"coefficient {tok} is not an integer")
-            coeffs.append(c)
+            coeffs.append(int(p))
         basis.append(QSeries(k, tuple(coeffs)))
     out = MillerBasis(k, tuple(basis))
     if out.dimension != dim_mk(k):

@@ -5,6 +5,7 @@ import pytest
 
 from cyclecones import classes
 from cyclecones.classes import (
+    ClassVector,
     FunctionalCombo,
     coordinates,
     eisenstein_coefficient_identity,
@@ -76,6 +77,33 @@ def test_coordinates_unit_vectors():
         assert omega.coords == tuple(
             Fraction(-1 if i == 0 else 0) for i in range(d)
         )
+
+
+def test_integer_combinations_have_int_coordinates():
+    for k in (12, 18, 34, 66):
+        d = dim_mk(k)
+        basis = miller_basis(k, 40)
+        for combo in (
+            omega_class(k),
+            heegner_class(7, k),
+            primitive_heegner_class(36, k),
+            heegner_from_primitive(36, k),
+        ):
+            assert all(type(a) is int for _, a in combo.terms)
+            coords = coordinates(combo, basis).coords
+            assert len(coords) == d
+            assert all(type(c) is int for c in coords)
+            assert coords == tuple(evaluate(combo, f) for f in basis.basis)
+
+
+def test_class_vector_keeps_exact_values():
+    v = ClassVector(6, (3, Fraction(1, 2), Fraction(4, 2), -1))
+    assert [type(c) for c in v.coords] == [int, Fraction, Fraction, int]
+    assert v.coords == (3, Fraction(1, 2), 2, -1)
+    assert ClassVector(6, (Fraction(3), 1)) == ClassVector(6, (3, 1))
+    combo = FunctionalCombo(6, ((3, 2), (2, Fraction(4, 2)), (1, 0.5)))
+    assert combo.terms == ((1, Fraction(1, 2)), (2, 2), (3, 2))
+    assert [type(a) for _, a in combo.terms] == [Fraction, Fraction, int]
 
 
 def test_coordinates_at_weight_12():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclecones import classes, cones
+from cyclecones import classes, cli, cones
 from cyclecones.cli import RunConfig, main
 from cyclecones.qseries import QSeries
 
@@ -217,6 +217,40 @@ def test_cache_round_trip(tmp_path, capsys):
         assert again == cold
         assert "corrupt" in err
         assert files[0].read_text() == good
+
+
+# "-8568/2" equals -4284, but only "n/1" is the format of an integer
+@pytest.mark.parametrize("token", ["-8568/2", "2/0"])
+def test_cache_token_not_written_n_over_1_is_corrupt(tmp_path, capsys, token):
+    cache = tmp_path / "cache"
+    argv = ("converge", "--n", "34", "--max-m", "8", "--cache-dir", str(cache))
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0
+    path = cache / "miller_k18_N9.txt"
+    good = path.read_text()
+    path.write_text(good.replace("-4284/1", token))
+    code, again, err = run(capsys, *argv)
+    assert code == 0
+    assert again == cold
+    assert "corrupt" in err and "not an integer" in err
+    assert path.read_text() == good
+
+
+def test_bad_cache_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(cli, "miller_basis", no_basis)
+    regular_file = tmp_path / "file"
+    regular_file.write_text("")
+    for command in ("converge", "cone"):
+        code, out, err = run(
+            capsys, command, "--n", "10", "--max-m", "5",
+            "--cache-dir", str(regular_file / "x"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--cache-dir" in err
 
 
 def test_cache_write_failure_leaves_no_cache_file(tmp_path, capsys, monkeypatch):

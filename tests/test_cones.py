@@ -74,6 +74,36 @@ def test_canonicalize_scale_invariant_and_idempotent(coords, scale):
     assert max(abs(c) for c in r.canonical) == 1
 
 
+def test_canonicalize_int_coordinates_gives_fractions():
+    for coords in ((4, -6), (0, 3), (-7,), (196560, -24)):
+        r = canonicalize(ClassVector(None, coords))
+        assert all(type(c) is Fraction for c in r.canonical)
+        assert r == canonicalize(vec(*coords))
+    assert canonicalize(ClassVector(None, (4, -6))).canonical == (
+        Fraction(2, 3), -1
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(rationals, min_size=1, max_size=4),
+    st.lists(rationals, min_size=1, max_size=4),
+    st.fractions(min_value=Fraction(1, 6), max_value=9, max_denominator=6),
+)
+def test_ray_key_names_the_oriented_ray(a, b, scale):
+    if not any(a) or not any(b):
+        return
+    key = cones._ray_key(a)
+    assert all(type(x) is int for x in key)
+    assert cones._ray_key([scale * c for c in a]) == key
+    assert cones._ray_key([c.numerator for c in a]) == cones._ray_key(
+        [Fraction(c.numerator) for c in a]
+    )
+    if len(a) == len(b):
+        same_ray = canonicalize(vec(*a)) == canonicalize(vec(*b))
+        assert (cones._ray_key(b) == key) == same_ray
+
+
 def test_opposite_rays_are_distinct():
     r1 = canonicalize(vec(1, 0))
     r2 = canonicalize(vec(-1, 0))

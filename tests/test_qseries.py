@@ -237,6 +237,19 @@ def test_basis_serialization_round_trip():
     assert text.startswith("weight 24, dimension 3, precision 12\n")
 
 
+def test_miller_rows_are_ints_and_reload_byte_identically():
+    for k, n in ((4, 5), (24, 12), (98, 40)):
+        basis = miller_basis(k, n)
+        text = dump_miller_basis(basis)
+        loaded = load_miller_basis(text)
+        for b in (basis, loaded):
+            assert all(
+                type(c) is int for f in b.basis for c in f.coefficients
+            )
+        assert loaded == basis
+        assert dump_miller_basis(loaded) == text
+
+
 def test_load_rejects_corrupt_text():
     basis = miller_basis(12, 6)
     text = dump_miller_basis(basis)
@@ -250,6 +263,10 @@ def test_load_rejects_corrupt_text():
     short = text.replace("precision 6", "precision 1")
     for bad, why in (
         (text.replace("4830/1", "4831/2"), "not an integer"),
+        # integral values, but not written n/1
+        (text.replace("4830/1", "9660/2"), "not an integer"),
+        (text.replace("4830/1", "4830/0"), "not an integer"),
+        (text.replace("4830/1", "4830"), "not an integer"),
         (text.replace(f0, "1/1 1/1 " + f0[8:]), "identity pivot block"),
         (short.replace(f0, "1/1").replace(f1, "0/1"), "identity pivot block"),
     ):
