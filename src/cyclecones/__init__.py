@@ -48,7 +48,6 @@ from .lattice import (
     is_primitive,
     moment_matrix,
     norm_q,
-    primitive_part,
     vector_of_norm,
 )
 from .numtheory import (
@@ -67,11 +66,8 @@ from .qseries import (
     dim_mk,
     dump_miller_basis,
     eisenstein,
-    linear_combine,
     load_miller_basis,
     miller_basis,
-    multiply,
-    power,
 )
 
 __version__ = "0.1.0"

@@ -88,10 +88,6 @@ class FunctionalCombo(_Record):
             acc[m] = acc.get(m, 0) + a
         return FunctionalCombo(self.weight, tuple(acc.items()))
 
-    def scale(self, c) -> "FunctionalCombo":
-        c = Fraction(c)
-        return FunctionalCombo(self.weight, tuple((m, c * a) for m, a in self.terms))
-
 
 class ClassVector(_Record):
     """Coordinates of a functional in the basis dual to a Miller basis.

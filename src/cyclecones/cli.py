@@ -2,7 +2,8 @@
 reports, and lattice utilities, with deterministic machine-readable output.
 
 All pass/fail decisions are exact; floats appear only in display columns.
-Exit codes: 0 success, 1 an exact check failed, 2 usage or input error.
+Exit codes: 0 success, 1 an exact check failed, 2 usage or input error,
+or a cache file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .lattice import (
     moment_matrix,
     norm_q,
 )
-from .numtheory import _Record
 from .qseries import (
     MillerBasis,
     dim_mk,
@@ -42,45 +42,11 @@ from .qseries import (
     miller_basis,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class UsageError(Exception):
     pass
-
-
-class RunConfig(_Record):
-    """Resolved invocation: weight and signature, truncation, precision,
-    output format, cache directory.  Unlike the other value classes it is
-    mutable, and therefore unhashable."""
-
-    __slots__ = ("command", "weight", "n", "physical", "max_m", "precision",
-                 "fmt", "cache_dir", "primitive")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        command: str,
-        weight: int,
-        n: int,
-        physical: bool,
-        max_m: int,
-        precision: int,
-        fmt: str,
-        cache_dir: str | None,
-        primitive: bool = True,
-    ) -> None:
-        self.command = command
-        self.weight = weight
-        self.n = n
-        self.physical = physical
-        self.max_m = max_m
-        self.precision = precision
-        self.fmt = fmt
-        self.cache_dir = cache_dir
-        self.primitive = primitive
 
 
 def _resolve_weight(n, weight) -> tuple[int, int, bool]:
@@ -97,8 +63,10 @@ def _resolve_weight(n, weight) -> tuple[int, int, bool]:
     return k, n, n % 8 == 2
 
 
-def _build_config(args) -> RunConfig:
-    k, n, physical = _resolve_weight(args.n, args.weight)
+def _build_config(args) -> None:
+    """Check the options and write the resolved weight, n, physical flag
+    and precision onto args."""
+    args.weight, args.n, args.physical = _resolve_weight(args.n, args.weight)
     max_m = args.max_m
     if max_m < 0:
         raise UsageError(f"--max-m must be >= 0, got {max_m}")
@@ -117,44 +85,34 @@ def _build_config(args) -> RunConfig:
             Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"cannot use --cache-dir {args.cache_dir}: {exc}")
-    return RunConfig(
-        command=args.command,
-        weight=k,
-        n=n,
-        physical=physical,
-        max_m=max_m,
-        precision=precision,
-        fmt=args.format,
-        cache_dir=args.cache_dir,
-        primitive=args.primitive,
-    )
+    args.precision = precision
 
 
 def _warn(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _note_physicality(cfg: RunConfig) -> None:
-    if not cfg.physical:
+def _note_physicality(args) -> None:
+    if not args.physical:
         _warn(
-            f"note: weight {cfg.weight} is non-physical (signature "
-            f"({cfg.n}, 2) carries no even unimodular lattice)"
+            f"note: weight {args.weight} is non-physical (signature "
+            f"({args.n}, 2) carries no even unimodular lattice)"
         )
 
 
-def _cached_basis(cfg: RunConfig) -> MillerBasis:
-    """Miller basis of cfg.weight at cfg.precision, via the disk cache.
+def _cached_basis(args) -> MillerBasis:
+    """Miller basis of args.weight at args.precision, via the disk cache.
 
     A corrupt cache file is recomputed and overwritten with a warning;
     results are bit-identical either way.  The file is written to a
     temporary name in the same directory and renamed into place, so an
     interrupted or failed write never leaves a partial cache file.
     """
-    k = cfg.weight
-    n_prec = max(cfg.precision, dim_mk(k), 1)
-    if cfg.cache_dir is None:
+    k = args.weight
+    n_prec = max(args.precision, dim_mk(k), 1)
+    if args.cache_dir is None:
         return miller_basis(k, n_prec)
-    path = Path(cfg.cache_dir) / f"miller_k{k}_N{n_prec}.txt"
+    path = Path(args.cache_dir) / f"miller_k{k}_N{n_prec}.txt"
     if path.exists():
         try:
             basis = load_miller_basis(path.read_text())
@@ -184,13 +142,13 @@ def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def cmd_identities(cfg: RunConfig) -> int:
+def cmd_identities(args) -> int:
     """Both Eisenstein identity checks for 1 <= m <= max_m; exit 0 iff all
     comparisons are exactly equal."""
-    _note_physicality(cfg)
-    records = eisenstein_identity_scan(cfg.n, cfg.max_m)
+    _note_physicality(args)
+    records = eisenstein_identity_scan(args.n, args.max_m)
     first_failing = next((r.m for _, r in records if not r.equal), None)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         _print_csv(
             [["check", "m", "n", "lhs", "rhs", "equal"]]
             + [[check] + rep.record().split(", ") for check, rep in records]
@@ -198,9 +156,9 @@ def cmd_identities(cfg: RunConfig) -> int:
     else:
         doc = {
             "all_equal": first_failing is None,
-            "max_m": cfg.max_m,
-            "n": cfg.n,
-            "physical": cfg.physical,
+            "max_m": args.max_m,
+            "n": args.n,
+            "physical": args.physical,
             "records": [
                 {
                     "check": check,
@@ -211,7 +169,7 @@ def cmd_identities(cfg: RunConfig) -> int:
                 }
                 for check, rep in records
             ],
-            "weight": cfg.weight,
+            "weight": args.weight,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     if first_failing is not None:
@@ -220,14 +178,15 @@ def cmd_identities(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(args) -> int:
     """Exact ray distances toward the Kähler ray for m <= max_m."""
-    _note_physicality(cfg)
-    basis = _cached_basis(cfg)
+    _note_physicality(args)
+    basis = _cached_basis(args)
     rows = convergence_scan(
-        cfg.weight, range(1, cfg.max_m + 1), primitive=cfg.primitive, basis=basis
+        args.weight, range(1, args.max_m + 1), primitive=args.primitive,
+        basis=basis,
     )
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         _print_csv(
             [["m", "distance_num", "distance_den", "distance_float"]]
             + [
@@ -237,10 +196,10 @@ def cmd_converge(cfg: RunConfig) -> int:
         )
     else:
         doc = {
-            "max_m": cfg.max_m,
-            "n": cfg.n,
-            "physical": cfg.physical,
-            "primitive": cfg.primitive,
+            "max_m": args.max_m,
+            "n": args.n,
+            "physical": args.physical,
+            "primitive": args.primitive,
             "rows": [
                 {
                     "den": dist.denominator,
@@ -250,28 +209,28 @@ def cmd_converge(cfg: RunConfig) -> int:
                 }
                 for m, dist in rows
             ],
-            "weight": cfg.weight,
+            "weight": args.weight,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
-def cmd_cone(cfg: RunConfig) -> int:
+def cmd_cone(args) -> int:
     """Span dimension, pointedness, extremal rays, and a stabilization
     comparison at max_m/2 versus max_m for the truncated cone model."""
-    basis = _cached_basis(cfg)
-    cone = accumulation_cone_model(cfg.weight, cfg.max_m, basis)
-    half_m = max(1, cfg.max_m // 2)
-    half_cone = accumulation_cone_model(cfg.weight, half_m, basis)
+    basis = _cached_basis(args)
+    cone = accumulation_cone_model(args.weight, args.max_m, basis)
+    half_m = max(1, args.max_m // 2)
+    half_cone = accumulation_cone_model(args.weight, half_m, basis)
     doc = {
         "dim": span_dimension(cone),
-        "expected_dim": dim_mk(cfg.weight),
+        "expected_dim": dim_mk(args.weight),
         "generator_count": len(cone.generators),
         "half_max_m": half_m,
-        "max_m": cfg.max_m,
-        "n": cfg.n,
-        "physical": cfg.physical,
-        "weight": cfg.weight,
+        "max_m": args.max_m,
+        "n": args.n,
+        "physical": args.physical,
+        "weight": args.weight,
     }
     try:
         idx = extremal_generators(cone)
@@ -453,15 +412,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "lattice":
             return cmd_lattice(args)
-        cfg = _build_config(args)
+        _build_config(args)
         if args.command == "identities":
-            return cmd_identities(cfg)
+            return cmd_identities(args)
         if args.command == "converge":
-            return cmd_converge(cfg)
+            return cmd_converge(args)
         if args.command == "cone":
-            return cmd_cone(cfg)
+            return cmd_cone(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         _warn(f"error: {exc}")
         return 2
 

@@ -13,10 +13,12 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .linalg import det, gram_signature, rref
+from .linalg import det, gram_signature, rank
 from .numtheory import _Record
 
 __all__ = [
+    "E8_GRAM",
+    "U_GRAM",
     "EvenLattice",
     "HalfIntegralMatrix",
     "FamilyEntry",
@@ -25,12 +27,13 @@ __all__ = [
     "norm_q",
     "moment_matrix",
     "is_primitive",
-    "primitive_part",
     "vector_of_norm",
     "is_positive_definite",
     "gauss_reduce",
+    "transform",
     "common_component_family",
-    "matrix_to_json",
+    "lattice_signature",
+    "lattice_determinant",
     "gram_to_json",
 ]
 
@@ -131,27 +134,11 @@ class HalfIntegralMatrix(_Record):
     def dimension(self) -> int:
         return len(self.doubled)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.doubled[i][j], 2)
-
     def rows(self) -> list[list[Fraction]]:
         return [[Fraction(x, 2) for x in row] for row in self.doubled]
 
     def determinant(self) -> Fraction:
         return det(self.rows())
-
-    @classmethod
-    def from_entries(cls, rows) -> "HalfIntegralMatrix":
-        doubled = []
-        for row in rows:
-            out = []
-            for x in row:
-                y = 2 * Fraction(x)
-                if y.denominator != 1:
-                    raise ValueError(f"entry {x} is not half-integral")
-                out.append(y.numerator)
-            doubled.append(tuple(out))
-        return cls(tuple(doubled))
 
 
 def moment_matrix(lattice: EvenLattice, vectors) -> HalfIntegralMatrix:
@@ -171,14 +158,6 @@ def is_primitive(lam) -> bool:
     if g == 0:
         raise ValueError("the zero vector is neither primitive nor imprimitive")
     return g == 1
-
-
-def primitive_part(lam) -> tuple[tuple[int, ...], int]:
-    """(lam/t, t) with t the coordinate gcd; q scales by t^2."""
-    g = gcd(*lam)
-    if g == 0:
-        raise ValueError("the zero vector has no primitive part")
-    return tuple(x // g for x in lam), g
 
 
 def vector_of_norm(lattice: EvenLattice, m: int) -> tuple[int, ...]:
@@ -307,7 +286,8 @@ def common_component_family(
     lam1 and lam2 sit in the two hyperbolic planes with q(lam1) = 1 and
     q(lam2) = m, so the moment matrices are diag(j^2 q(lam1), m) of
     strictly increasing determinant while all tuples span one rational
-    plane.
+    plane.  Two row spaces A and B are equal when rank(A) = rank(B) =
+    rank(A and B stacked).
     """
     if m < 1:
         raise ValueError(f"norm must be >= 1, got {m}")
@@ -318,7 +298,7 @@ def common_component_family(
     if inner(lattice, lam1, lam2) != 0:
         raise AssertionError("family base vectors must be orthogonal")
     q1 = norm_q(lattice, lam1)
-    base_span = rref([lam1, lam2])
+    base_rank = rank([lam1, lam2])
     out = []
     for j in range(1, j_max + 1):
         scaled = tuple(j * x for x in lam1)
@@ -333,7 +313,11 @@ def common_component_family(
                 moment=moment,
                 determinant=moment.determinant(),
                 moment_is_expected_diagonal=(moment == expected),
-                span_matches_base=(rref([scaled, lam2]) == base_span),
+                span_matches_base=(
+                    rank([scaled, lam2])
+                    == rank([lam1, lam2, scaled])
+                    == base_rank
+                ),
             )
         )
     return out
@@ -349,18 +333,6 @@ def lattice_determinant(lattice: EvenLattice) -> int:
     if d.denominator != 1:
         raise ArithmeticError(f"Gram determinant {d} is not an integer")
     return d.numerator
-
-
-def matrix_to_json(t: HalfIntegralMatrix) -> str:
-    """JSON with integer rows of the doubled matrix, tagged doubled: true."""
-    return json.dumps(
-        {
-            "dimension": t.dimension,
-            "doubled": True,
-            "rows": [list(row) for row in t.doubled],
-        },
-        sort_keys=True,
-    )
 
 
 def gram_to_json(lattice: EvenLattice) -> str:

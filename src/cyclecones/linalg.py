@@ -7,33 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["rref", "rank", "det", "gram_signature"]
-
-
-def rref(rows) -> list[list[Fraction]]:
-    """Reduced row echelon form; zero rows dropped."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == len(work):
-            break
-        src = next(
-            (r for r in range(pivot_row, len(work)) if work[r][col] != 0), None
-        )
-        if src is None:
-            continue
-        work[pivot_row], work[src] = work[src], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [c * inv for c in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-    return work[:pivot_row]
+__all__ = ["rank", "det", "gram_signature"]
 
 
 def rank(rows) -> int:

@@ -7,7 +7,6 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb, isqrt
 from operator import attrgetter
@@ -83,19 +82,6 @@ class Factorization(_Record):
             raise ValueError("exponents must be >= 1")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.pairs:
-            n *= p**e
-        return n
-
     def sigma(self, s: int) -> int:
         """Sum of the s-th powers of the divisors, by the multiplicative
         formula prod_p (p^(s(e+1)) - 1) / (p^s - 1)."""
@@ -142,9 +128,7 @@ def _trial_divisors(m):
         p += 6
 
 
-# Bernoulli cache: grown under a lock so concurrent callers always see the
-# same values as a single-threaded computation.
-_bern_lock = threading.Lock()
+# Bernoulli cache: _bern[n] = B_n, grown on demand up to the largest n asked
 _bern: list[Fraction] = [Fraction(1)]
 
 
@@ -157,12 +141,11 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError(f"bernoulli requires n >= 0, got {n}")
     if n >= 3 and n % 2 == 1:
         return Fraction(0)
-    with _bern_lock:
-        while len(_bern) <= n:
-            k = len(_bern)
-            acc = sum(comb(k + 1, j) * _bern[j] for j in range(k))
-            _bern.append(Fraction(-acc, k + 1))
-        return _bern[n]
+    while len(_bern) <= n:
+        k = len(_bern)
+        acc = sum(comb(k + 1, j) * _bern[j] for j in range(k))
+        _bern.append(Fraction(-acc, k + 1))
+    return _bern[n]
 
 
 def zeta_negative(s: int) -> Fraction:

@@ -20,9 +20,6 @@ __all__ = [
     "dim_mk",
     "eisenstein",
     "delta",
-    "multiply",
-    "power",
-    "linear_combine",
     "miller_basis",
     "dump_miller_basis",
     "load_miller_basis",
@@ -33,9 +30,8 @@ class QSeries(_Record):
     """Truncated q-expansion: coefficients of q^0 .. q^(N-1), exact.
 
     An int or Fraction coefficient is kept as given; any other value is
-    converted by ``Fraction``.  The weight is carried along so that
-    arithmetic can enforce the usual rules (addition needs equal weights,
-    multiplication adds them).
+    converted by ``Fraction``.  The weight is a tag; series products are
+    taken on integer coefficient lists by ``_mul``.
     """
 
     __slots__ = ("weight", "coefficients")
@@ -55,92 +51,6 @@ class QSeries(_Record):
     @property
     def precision(self) -> int:
         return len(self.coefficients)
-
-    def coefficient(self, m: int) -> Fraction:
-        if not 0 <= m < self.precision:
-            raise ValueError(
-                f"coefficient index {m} outside precision {self.precision}"
-            )
-        return self.coefficients[m]
-
-    def truncate(self, n: int) -> "QSeries":
-        if not 1 <= n <= self.precision:
-            raise ValueError(f"cannot truncate precision {self.precision} to {n}")
-        return QSeries(self.weight, self.coefficients[:n])
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if self.weight != other.weight:
-            raise ValueError(
-                f"cannot add weights {self.weight} and {other.weight}"
-            )
-        n = min(self.precision, other.precision)
-        return QSeries(
-            self.weight,
-            tuple(self.coefficients[i] + other.coefficients[i] for i in range(n)),
-        )
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "QSeries":
-        c = Fraction(c)
-        return QSeries(self.weight, tuple(c * a for a in self.coefficients))
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        return multiply(self, other)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-
-def multiply(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy product; weights add, precision is the minimum."""
-    n = min(a.precision, b.precision)
-    ac, bc = a.coefficients, b.coefficients
-    out = [Fraction(0)] * n
-    for i in range(n):
-        ai = ac[i]
-        if ai == 0:
-            continue
-        for j in range(n - i):
-            bj = bc[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return QSeries(a.weight + b.weight, tuple(out))
-
-
-def power(a: QSeries, e: int) -> QSeries:
-    """a**e by binary powering, truncated at a's precision."""
-    if e < 0:
-        raise ValueError(f"power requires e >= 0, got {e}")
-    result = QSeries(0, (Fraction(1),) + (Fraction(0),) * (a.precision - 1))
-    base = a
-    while e:
-        if e & 1:
-            result = multiply(result, base)
-        e >>= 1
-        if e:
-            base = multiply(base, base)
-    return result
-
-
-def linear_combine(scalars, series) -> QSeries:
-    """Exact linear combination of series of one common weight."""
-    series = list(series)
-    scalars = [Fraction(s) for s in scalars]
-    if len(scalars) != len(series) or not series:
-        raise ValueError("need equally many scalars and series, at least one")
-    weight = series[0].weight
-    if any(f.weight != weight for f in series):
-        raise ValueError("weight mismatch in linear_combine")
-    n = min(f.precision for f in series)
-    out = [Fraction(0)] * n
-    for s, f in zip(scalars, series):
-        if s == 0:
-            continue
-        for i in range(n):
-            out[i] += s * f.coefficients[i]
-    return QSeries(weight, tuple(out))
 
 
 def dim_mk(k: int) -> int:

@@ -21,9 +21,35 @@ import math
 from fractions import Fraction
 
 from cyclecones.classes import FunctionalCombo
-from cyclecones.linalg import rref
 from cyclecones.numtheory import moebius, square_divisors
 from cyclecones.qseries import MillerBasis, QSeries
+
+
+def rref(rows) -> list[list[Fraction]]:
+    """Reduced row echelon form over Fractions; zero rows dropped.  The
+    reference for the fraction-free ``linalg.rank``."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    if not work:
+        return []
+    ncols = len(work[0])
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row == len(work):
+            break
+        src = next(
+            (r for r in range(pivot_row, len(work)) if work[r][col] != 0), None
+        )
+        if src is None:
+            continue
+        work[pivot_row], work[src] = work[src], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [c * inv for c in work[pivot_row]]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+    return work[:pivot_row]
 
 
 def brute_member(v, gens):

@@ -20,7 +20,7 @@ from cyclecones.classes import (
     weight_for_signature,
 )
 from cyclecones.numtheory import sigma, zeta_negative
-from cyclecones.qseries import dim_mk, eisenstein, linear_combine, miller_basis
+from cyclecones.qseries import QSeries, dim_mk, eisenstein, miller_basis
 from oracles import moebius_primitive_class
 
 
@@ -139,7 +139,10 @@ def test_representation_consistency():
         for _ in range(20):
             xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                   for _ in range(d)]
-            f = linear_combine(xs, basis.basis)
+            f = QSeries(k, tuple(
+                sum(x * g.coefficients[i] for x, g in zip(xs, basis.basis))
+                for i in range(basis.precision)
+            ))
             combo = FunctionalCombo(
                 k,
                 tuple(

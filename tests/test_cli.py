@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cyclecones import classes, cli, cones
-from cyclecones.cli import RunConfig, main
+from cyclecones.cli import main
 from cyclecones.qseries import QSeries
 
 
@@ -266,15 +266,29 @@ def test_cache_write_failure_leaves_no_cache_file(tmp_path, capsys, monkeypatch)
 
     with monkeypatch.context() as m:
         m.setattr(Path, "write_text", write_half_then_fail)
-        with pytest.raises(OSError):
-            main(list(argv))
-    capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "No space left" in err
     assert list(cache.iterdir()) == []
 
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == expected
     assert [f.name for f in cache.iterdir()] == ["miller_k18_N9.txt"]
+
+
+def test_unreadable_cache_file_exits_2(tmp_path, capsys):
+    # a directory where the cache file belongs: reading it raises
+    # IsADirectoryError, which is an input error, not a failed check
+    (tmp_path / "miller_k6_N6.txt").mkdir()
+    for command in ("converge", "cone"):
+        code, out, err = run(
+            capsys, command, "--n", "10", "--max-m", "5",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "miller_k6_N6.txt" in err
 
 
 def test_lattice_build(capsys):
@@ -332,16 +346,6 @@ def test_determinism(capsys):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
-
-
-def test_run_config_is_mutable_and_unhashable():
-    cfg = RunConfig("converge", 18, 34, True, 8, 9, "csv", None)
-    assert cfg == RunConfig("converge", 18, 34, True, 8, 9, "csv", None, True)
-    assert repr(cfg).startswith("RunConfig(command='converge', weight=18, ")
-    cfg.max_m = 4
-    assert cfg.max_m == 4
-    with pytest.raises(TypeError):
-        hash(cfg)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_csv(run_python):

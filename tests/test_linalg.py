@@ -3,7 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecones.linalg import rank, rref
+from cyclecones.linalg import rank
+from oracles import rref
 
 ENTRIES = [0, 0, 0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-2, 3),
            Fraction(5, 4), Fraction(6, 3)]

@@ -106,16 +106,17 @@ def test_square_divisors_bruteforce():
 
 def test_factorize_examples():
     assert factorize(1).pairs == ()
-    assert factorize(12).as_dict() == {2: 2, 3: 1}
-    assert factorize(97).as_dict() == {97: 1}
+    assert factorize(12).pairs == ((2, 2), (3, 1))
+    assert factorize(97).pairs == ((97, 1),)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**6))
 def test_factorize_reconstructs(m):
     f = factorize(m)
-    assert f.value() == m
-    assert list(f.primes) == sorted(set(f.primes))
+    assert math.prod(p**e for p, e in f.pairs) == m
+    primes = [p for p, _ in f.pairs]
+    assert primes == sorted(set(primes))
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,7 @@ def test_moebius_against_sympy(sympy):
 
 def test_factorize_against_sympy(sympy):
     for m in list(range(1, 2001)) + [2**31 - 1, 600851475143, 10**7 + 19]:
-        assert factorize(m).as_dict() == sympy.factorint(m), m
+        assert dict(factorize(m).pairs) == sympy.factorint(m), m
 
 
 FROZEN = [
