@@ -74,9 +74,6 @@ class FunctionalCombo(_Record):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "terms", cleaned)
 
-    def as_dict(self) -> dict[int, int | Fraction]:
-        return dict(self.terms)
-
     def max_index(self) -> int:
         return self.terms[-1][0] if self.terms else 0
 

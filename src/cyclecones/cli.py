@@ -3,7 +3,8 @@ reports, and lattice utilities, with deterministic machine-readable output.
 
 All pass/fail decisions are exact; floats appear only in display columns.
 Exit codes: 0 success, 1 an exact check failed, 2 usage or input error,
-or a cache file that cannot be read or written.
+or a cache file that cannot be read or written, 141 (128 + SIGPIPE) when
+the reader closes stdout early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -266,8 +267,6 @@ def _parse_int_matrix(text: str, what: str):
 
 
 def cmd_lattice(args) -> int:
-    if args.n is None:
-        raise UsageError("give the signature via --n")
     lattice = build_even_unimodular(args.n)
     if args.subcommand == "build":
         print(gram_to_json(lattice))
@@ -304,32 +303,28 @@ def cmd_lattice(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
-    if args.subcommand == "family":
-        entries = common_component_family(lattice, args.m, args.jmax)
-        dets = [e.determinant for e in entries]
-        doc = {
-            "base_norm": norm_q(lattice, entries[0].vectors[1]),
-            "dets_strictly_increasing": all(
-                a < b for a, b in zip(dets, dets[1:])
-            ),
-            "entries": [
-                {
-                    "det": _frac_str(e.determinant),
-                    "j": e.j,
-                    "moment_doubled": [list(r) for r in e.moment.doubled],
-                    "moment_is_expected_diagonal": e.moment_is_expected_diagonal,
-                    "span_matches_base": e.span_matches_base,
-                    "vectors": [list(v) for v in e.vectors],
-                }
-                for e in entries
-            ],
-            "jmax": args.jmax,
-            "m": args.m,
-            "n": args.n,
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-        return 0
-    raise UsageError(f"unknown lattice subcommand {args.subcommand!r}")
+    entries = common_component_family(lattice, args.m, args.jmax)
+    dets = [e.determinant for e in entries]
+    doc = {
+        "base_norm": norm_q(lattice, entries[0].vectors[1]),
+        "dets_strictly_increasing": all(a < b for a, b in zip(dets, dets[1:])),
+        "entries": [
+            {
+                "det": _frac_str(e.determinant),
+                "j": e.j,
+                "moment_doubled": [list(r) for r in e.moment.doubled],
+                "moment_is_expected_diagonal": e.moment_is_expected_diagonal,
+                "span_matches_base": e.span_matches_base,
+                "vectors": [list(v) for v in e.vectors],
+            }
+            for e in entries
+        ],
+        "jmax": args.jmax,
+        "m": args.m,
+        "n": args.n,
+    }
+    print(json.dumps(doc, sort_keys=True, indent=2))
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -354,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_weight_args(p_id)
     p_id.add_argument("--max-m", type=int, default=200)
     p_id.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_id.set_defaults(precision=None, cache_dir=None, primitive=True)
+    p_id.set_defaults(run=cmd_identities, precision=None, cache_dir=None)
 
     p_conv = sub.add_parser(
         "converge", help="exact ray distances toward the Kähler ray"
@@ -364,6 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--precision", type=int)
     p_conv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_conv.add_argument("--cache-dir")
+    p_conv.set_defaults(run=cmd_converge)
     flag = p_conv.add_mutually_exclusive_group()
     flag.add_argument(
         "--primitive", dest="primitive", action="store_true", default=True,
@@ -381,9 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cone.add_argument("--max-m", type=int, default=200)
     p_cone.add_argument("--precision", type=int)
     p_cone.add_argument("--cache-dir")
-    p_cone.set_defaults(format="json", primitive=True)
+    p_cone.set_defaults(run=cmd_cone)
 
     p_lat = sub.add_parser("lattice", help="lattice utilities (JSON)")
+    p_lat.set_defaults(run=cmd_lattice)
     lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)
     p_build = lat_sub.add_parser("build", help="Gram matrix of U+U+E8^j")
     p_build.add_argument("--n", type=int, required=True)
@@ -410,16 +407,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "lattice":
-            return cmd_lattice(args)
-        _build_config(args)
-        if args.command == "identities":
-            return cmd_identities(args)
-        if args.command == "converge":
-            return cmd_converge(args)
-        if args.command == "cone":
-            return cmd_cone(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        if args.command != "lattice":
+            _build_config(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a reader gone early shows here at the latest
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: say nothing, and point stdout at
+        # os.devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status of a writer SIGPIPE ends
     except (UsageError, ValueError, OSError) as exc:
         _warn(f"error: {exc}")
         return 2

@@ -134,11 +134,9 @@ class HalfIntegralMatrix(_Record):
     def dimension(self) -> int:
         return len(self.doubled)
 
-    def rows(self) -> list[list[Fraction]]:
-        return [[Fraction(x, 2) for x in row] for row in self.doubled]
-
     def determinant(self) -> Fraction:
-        return det(self.rows())
+        """det T = det 2T / 2^d."""
+        return Fraction(det(self.doubled), 2 ** self.dimension)
 
 
 def moment_matrix(lattice: EvenLattice, vectors) -> HalfIntegralMatrix:
@@ -177,13 +175,8 @@ def _second_block_vector(lattice: EvenLattice, m: int) -> tuple[int, ...]:
 
 
 def is_positive_definite(t: HalfIntegralMatrix) -> bool:
-    """Exact check via leading principal minors of T."""
-    rows = t.rows()
-    for r in range(1, t.dimension + 1):
-        minor = det([row[:r] for row in rows[:r]])
-        if minor <= 0:
-            return False
-    return True
+    """T is positive definite when the inertia of 2T is (d, 0)."""
+    return gram_signature(t.doubled) == (t.dimension, 0)
 
 
 def gauss_reduce(
@@ -329,10 +322,7 @@ def lattice_signature(lattice: EvenLattice) -> tuple[int, int]:
 
 
 def lattice_determinant(lattice: EvenLattice) -> int:
-    d = det(lattice.gram)
-    if d.denominator != 1:
-        raise ArithmeticError(f"Gram determinant {d} is not an integer")
-    return d.numerator
+    return det(lattice.gram)
 
 
 def gram_to_json(lattice: EvenLattice) -> str:

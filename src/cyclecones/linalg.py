@@ -1,6 +1,11 @@
-"""Small exact linear-algebra helpers over the rationals (dense, desk
-scale): rank by fraction-free integer elimination, the rest over
-Fractions."""
+"""Exact linear algebra in integers for small dense matrices.
+
+``rank`` and ``det`` share one fraction-free elimination (Edmonds 1967,
+Bareiss 1968), in which every entry is a minor of the input and every
+division is exact; ``gram_signature`` reduces by integer congruence.
+``det`` and ``gram_signature`` take int entries only; ``rank`` also takes
+rational rows and scales each to integers.
+"""
 
 from __future__ import annotations
 
@@ -10,96 +15,100 @@ from math import gcd, lcm
 __all__ = ["rank", "det", "gram_signature"]
 
 
-def rank(rows) -> int:
-    """Rank of a rational matrix, without building a Fraction for int rows.
+def _echelon(rows) -> list[tuple[int, list[int]]]:
+    """(pivot column, row) for each integer row independent of the rows
+    before it, reduced against those kept so far; stops at full column
+    rank, so the remaining rows are never read.
 
-    Rows are taken one at a time and scaled to integers.  Each is reduced
-    against the echelon rows kept so far, as p*row - f*pivot_row with
-    p the pivot, which changes no rank, and divided by its gcd; a row that
-    does not vanish joins them.  The scan stops once the rank equals the
-    column count, so the remaining rows are never read.
+    A row is reduced against kept row j, of pivot p_j in column c_j, as
+    (p_j * row - row[c_j] * row_j) / p_{j-1}, with p_0 = 1.  Its entries
+    are then minors of the input, on the kept rows and itself and on the
+    pivot columns and one more, so the division is exact.
     """
-    echelon = []  # (pivot column, primitive integer row)
+    kept = []
     for row in rows:
+        prev = 1
+        for col, kept_row in kept:
+            p, f = kept_row[col], row[col]
+            row = [(p * x - f * y) // prev for x, y in zip(row, kept_row)]
+            prev = p
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            kept.append((col, row))
+            if len(kept) == len(row):
+                break
+    return kept
+
+
+def rank(rows) -> int:
+    """Rank of a rational matrix, without building a Fraction for int rows."""
+    def scaled(row):
         row = [x if type(x) is int else Fraction(x) for x in row]
         den = lcm(*(x.denominator for x in row))
-        row = [x.numerator * (den // x.denominator) for x in row]
-        for col, pivot_row in echelon:
-            f = row[col]
-            if f:
-                p = pivot_row[col]
-                row = [p * x - f * y for x, y in zip(row, pivot_row)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        g = gcd(*row)
-        echelon.append((col, [x // g for x in row]))
-        if len(echelon) == len(row):
-            break
-    return len(echelon)
+        return [x.numerator * (den // x.denominator) for x in row]
+
+    return len(_echelon(map(scaled, rows)))
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square rational matrix by exact elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    n = len(work)
-    if any(len(row) != n for row in work):
-        raise ValueError("determinant needs a square matrix")
-    out = Fraction(1)
-    for col in range(n):
-        src = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if src is None:
-            return Fraction(0)
-        if src != col:
-            work[col], work[src] = work[src], work[col]
-            out = -out
-        piv = work[col][col]
-        out *= piv
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] / piv
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return out
+def _square_ints(rows, what: str) -> list[list[int]]:
+    rows = [list(row) for row in rows]
+    for x in (x for row in rows for x in row):
+        if type(x) is not int:
+            raise TypeError(f"{what} needs int entries, got {x!r}")
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{what} needs a square matrix")
+    return rows
+
+
+def det(rows) -> int:
+    """Determinant of a square integer matrix: the last pivot of the
+    elimination, signed by the permutation of the pivot columns."""
+    rows = _square_ints(rows, "determinant")
+    kept = _echelon(rows)
+    if len(kept) < len(rows):
+        return 0
+    cols = [col for col, _ in kept]
+    sign = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return sign * kept[-1][1][cols[-1]] if kept else 1
 
 
 def gram_signature(gram) -> tuple[int, int]:
-    """(positive, negative) inertia of a symmetric rational matrix.
+    """(positive, negative) inertia of a symmetric integer matrix.
 
-    Exact symmetric congruence reduction; zero eigenvalues count in
-    neither entry.
+    Integer congruence reduction: a nonzero pivot p splits off its sign,
+    and the rest becomes |p| times its Schur complement, of the same
+    inertia, divided by its gcd.  Zero eigenvalues count in neither entry.
     """
-    A = [[Fraction(x) for x in row] for row in gram]
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("signature needs a square matrix")
-    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
+    A = _square_ints(gram, "signature")
+    if A != [list(col) for col in zip(*A)]:
         raise ValueError("signature needs a symmetric matrix")
     pos = neg = 0
-    for i in range(n):
-        if A[i][i] == 0:
-            j = next((t for t in range(i + 1, n) if A[t][t] != 0), None)
+    while A:
+        if A[0][0] == 0:
+            j = next((t for t in range(1, len(A)) if A[t][t]), None)
             if j is not None:
-                A[i], A[j] = A[j], A[i]
+                A[0], A[j] = A[j], A[0]
                 for row in A:
-                    row[i], row[j] = row[j], row[i]
+                    row[0], row[j] = row[j], row[0]
             else:
-                j = next((t for t in range(i + 1, n) if A[i][t] != 0), None)
+                j = next((t for t in range(1, len(A)) if A[0][t]), None)
                 if j is None:
+                    A = [row[1:] for row in A[1:]]
                     continue
-                for t in range(n):
-                    A[i][t] += A[j][t]
-                for t in range(n):
-                    A[t][i] += A[t][j]
-        piv = A[i][i]
-        if piv > 0:
-            pos += 1
+                # every later diagonal is zero: the new pivot is 2 A[0][j]
+                A[0] = [x + y for x, y in zip(A[0], A[j])]
+                for row in A:
+                    row[0] += row[j]
+        p, top = A[0][0], A[0][1:]
+        if p > 0:
+            pos, s = pos + 1, 1
         else:
-            neg += 1
-        for r in range(i + 1, n):
-            if A[r][i] != 0:
-                f = A[r][i] / piv
-                for c in range(n):
-                    A[r][c] -= f * A[i][c]
-                for c in range(n):
-                    A[c][r] -= f * A[c][i]
+            neg, s = neg + 1, -1
+        A = [
+            [s * (p * x - row[0] * y) for x, y in zip(row[1:], top)]
+            for row in A[1:]
+        ]
+        g = gcd(*(x for row in A for x in row))
+        if g > 1:
+            A = [[x // g for x in row] for row in A]
     return pos, neg

@@ -1,7 +1,9 @@
 """Brute-force oracles shared by the cone/lattice/acceptance tests.
 
+``rref``, ``fraction_det`` and ``fraction_gram_signature`` are the
+Fraction eliminations that the integer ``linalg`` must agree with.
 Except for ``fraction_phase1``, the Fraction tableau whose feasibility
-and witness the integer simplex must reproduce, these stay deliberately
+and witness the integer simplex must reproduce, the others stay deliberately
 independent of the simplex: membership runs over Caratheodory subsets
 solved by row reduction, extremality tests each ray against all the
 others by that membership, pointedness enumerates minimal one-signed
@@ -50,6 +52,71 @@ def rref(rows) -> list[list[Fraction]]:
                 work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
         pivot_row += 1
     return work[:pivot_row]
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square rational matrix by Fraction elimination.
+    The reference for the fraction-free ``linalg.det``."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    n = len(work)
+    if any(len(row) != n for row in work):
+        raise ValueError("determinant needs a square matrix")
+    out = Fraction(1)
+    for col in range(n):
+        src = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if src is None:
+            return Fraction(0)
+        if src != col:
+            work[col], work[src] = work[src], work[col]
+            out = -out
+        piv = work[col][col]
+        out *= piv
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                f = work[r][col] / piv
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return out
+
+
+def fraction_gram_signature(gram) -> tuple[int, int]:
+    """(positive, negative) inertia of a symmetric rational matrix by
+    Fraction congruence reduction; zero eigenvalues count in neither
+    entry.  The reference for the integer ``linalg.gram_signature``."""
+    A = [[Fraction(x) for x in row] for row in gram]
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("signature needs a square matrix")
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("signature needs a symmetric matrix")
+    pos = neg = 0
+    for i in range(n):
+        if A[i][i] == 0:
+            j = next((t for t in range(i + 1, n) if A[t][t] != 0), None)
+            if j is not None:
+                A[i], A[j] = A[j], A[i]
+                for row in A:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((t for t in range(i + 1, n) if A[i][t] != 0), None)
+                if j is None:
+                    continue
+                for t in range(n):
+                    A[i][t] += A[j][t]
+                for t in range(n):
+                    A[t][i] += A[t][j]
+        piv = A[i][i]
+        if piv > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(i + 1, n):
+            if A[r][i] != 0:
+                f = A[r][i] / piv
+                for c in range(n):
+                    A[r][c] -= f * A[i][c]
+                for c in range(n):
+                    A[c][r] -= f * A[c][i]
+    return pos, neg
 
 
 def brute_member(v, gens):

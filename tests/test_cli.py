@@ -1,9 +1,13 @@
 import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import SRC
 from cyclecones import classes, cli, cones
 from cyclecones.cli import main
 from cyclecones.qseries import QSeries
@@ -275,6 +279,39 @@ def test_cache_write_failure_leaves_no_cache_file(tmp_path, capsys, monkeypatch)
     assert code == 0 and err == ""
     assert out == expected
     assert [f.name for f in cache.iterdir()] == ["miller_k18_N9.txt"]
+
+
+def _cli_process(*argv, stdout):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # buffer stdout, as for any pipe
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "cyclecones.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line and closes the pipe; the 0.4 MB of output
+    # cannot fit in a pipe buffer, so the writer meets the closed end
+    argv = ("identities", "--n", "10", "--max-m", "3000")
+    with _cli_process(*argv, stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"check,m,n,lhs,rhs,equal\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=300) == 141
+
+
+def test_stdout_closed_before_a_short_output_exits_141_quietly():
+    # a short output stays in the buffer until the flush at the end of main
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with _cli_process("lattice", "build", "--n", "10", stdout=write_end) as proc:
+        os.close(write_end)
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=300) == 141
 
 
 def test_unreadable_cache_file_exits_2(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_moment_matrix_examples():
     lam = vector_of_norm(lat, 5)
     t = moment_matrix(lat, [lam])
     assert t.doubled == ((10,),)
-    assert t.rows() == [[5]]
+    assert t.determinant() == 5  # T = (5)
 
     v1 = (1, 1, 0, 0) + (0,) * 8
     v2 = (0, 0, 1, 2) + (0,) * 8
@@ -154,8 +154,10 @@ def test_half_integral_validation():
         HalfIntegralMatrix(((1,),))  # odd diagonal = non-integral T diagonal
     with pytest.raises(ValueError):
         HalfIntegralMatrix(((2, 1), (0, 2)))
-    t = HalfIntegralMatrix(((2, 1), (1, 2)))
-    assert t.rows() == [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
+    t = HalfIntegralMatrix(((2, 1), (1, 2)))  # T = [[1, 1/2], [1/2, 1]]
+    assert t.doubled == ((2, 1), (1, 2))
+    assert t.determinant() == Fraction(3, 4)
+    assert t.dimension == 2 and is_positive_definite(t)
 
 
 def test_is_positive_definite_examples():
