@@ -10,7 +10,7 @@ divisors.  Coordinates are taken in the basis dual to a Miller basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .numtheory import (
     Factorization,
@@ -19,7 +19,7 @@ from .numtheory import (
     square_divisors,
     zeta_negative,
 )
-from .qseries import MillerBasis, QSeries, eisenstein
+from .qseries import MillerBasis, QSeries, _divisor_sums, _eisenstein_scale
 
 __all__ = [
     "FunctionalCombo",
@@ -199,53 +199,42 @@ class IdentityReport(_Record):
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
-    def record(self) -> str:
-        """Line format "m, n, lhs(p/q), rhs(p/q), equal(bool)"."""
-        return (
-            f"{self.m}, {self.n}, "
-            f"{self.lhs.numerator}/{self.lhs.denominator}, "
-            f"{self.rhs.numerator}/{self.rhs.denominator}, "
-            f"{str(self.equal).lower()}"
-        )
 
-
-def _identity_series(m: int, n: int, series: QSeries | None) -> QSeries:
-    """E_{1+n/2} to precision m + 1, or the given series once checked."""
-    k = weight_for_signature(n)
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
-    if series is None:
-        return eisenstein(k, m + 1)
-    if series.weight != k:
-        raise ValueError(f"series weight {series.weight} != weight {k}")
-    if series.precision <= m:
-        raise ValueError(f"precision {series.precision} too small for index {m}")
-    return series
-
-
-def _coefficient_report(
-    m: int, n: int, f: Factorization, coeffs, zeta: Fraction
-) -> IdentityReport:
-    """c_m(E) read from the q-expansion against 2 sigma_{n/2}(m) / zeta,
-    with m factored as f and zeta = zeta(-n/2)."""
-    return IdentityReport(m, n, coeffs[m], 2 * f.sigma(n // 2) / zeta)
-
-
-def _primitive_report(
-    m: int, n: int, f: Factorization, coeffs, zeta: Fraction
-) -> IdentityReport:
-    """P_m(E) read from the q-expansion against its Euler product.
-
-    (2 m^s / zeta) prod_{p | m} (1 + p^-s) with s = n/2 is 2/zeta times the
-    integer prod_{p^e || m} p^(s(e-1)) (p^s + 1).
+def _identity_sides(m: int, s: int, f: Factorization, coeffs):
+    """(q-expansion side, closed-form side) of the coefficient and the
+    primitive check at m, m factored as f and s = n/2, before scaling:
+    coeffs[m] against sigma_s(m), and sum_{t^2 | m} mu(t) coeffs[m/t^2]
+    against the integer prod_{p^e || m} p^(s(e-1)) (p^s + 1), which is
+    m^s prod_{p | m} (1 + p^-s).  For coeffs[i] = sigma_{k-1}(i) the
+    scales are F = -2k/B_k (E_k's) and G = 2/zeta(-s) (the closed forms').
     """
-    s = n // 2
-    lhs = sum(mu * coeffs[i] for i, mu in _primitive_terms(m, f))
     euler = 1
     for p, e in f.pairs:
         q = p**s
         euler *= q ** (e - 1) * (q + 1)
-    return IdentityReport(m, n, lhs, 2 * euler / zeta)
+    primitive = sum(mu * coeffs[i] for i, mu in _primitive_terms(m, f))
+    return (coeffs[m], f.sigma(s)), (primitive, euler)
+
+
+def _identity_report(
+    m: int, n: int, series: QSeries | None, check: int
+) -> IdentityReport:
+    """Check number `check` (0 coefficient, 1 primitive) of _identity_sides
+    at m, in Fractions; the q-expansion side reads the given series of
+    weight 1 + n/2, or E_{1+n/2} as its scale times the divisor sums."""
+    k = weight_for_signature(n)
+    if m < 1:
+        raise ValueError(f"index must be >= 1, got {m}")
+    if series is None:
+        coeffs, scale = _divisor_sums(k - 1, m + 1), _eisenstein_scale(k)
+    elif series.weight != k:
+        raise ValueError(f"series weight {series.weight} != weight {k}")
+    elif series.precision <= m:
+        raise ValueError(f"precision {series.precision} too small for index {m}")
+    else:
+        coeffs, scale = series.coefficients, 1
+    lhs, rhs = _identity_sides(m, n // 2, factorize(m), coeffs)[check]
+    return IdentityReport(m, n, scale * lhs, 2 * rhs / zeta_negative(n // 2))
 
 
 def eisenstein_coefficient_identity(
@@ -256,10 +245,7 @@ def eisenstein_coefficient_identity(
     The left side reads the q-expansion; the right side is the closed form.
     A precomputed Eisenstein series may be passed to amortize scans.
     """
-    series = _identity_series(m, n, series)
-    return _coefficient_report(
-        m, n, factorize(m), series.coefficients, zeta_negative(n // 2)
-    )
+    return _identity_report(m, n, series, 0)
 
 
 def primitive_eisenstein_identity(
@@ -271,32 +257,38 @@ def primitive_eisenstein_identity(
     q-expansion.  Right: (2 m^{n/2} / zeta(-n/2)) * prod_{p | m} (1 + p^{-n/2}),
     cleared to a single exact rational.
     """
-    series = _identity_series(m, n, series)
-    return _primitive_report(
-        m, n, factorize(m), series.coefficients, zeta_negative(n // 2)
-    )
+    return _identity_report(m, n, series, 1)
 
 
 def eisenstein_identity_scan(
     n: int, max_m: int
-) -> list[tuple[str, IdentityReport]]:
-    """Both Eisenstein identity checks for 1 <= m <= max_m, in the order
-    ("coefficient", m = 1), ("primitive", m = 1), ("coefficient", m = 2), ...
+) -> list[tuple[str, int, str, str, bool]]:
+    """Both Eisenstein identity checks for 1 <= m <= max_m as rows
+    (check, m, lhs, rhs, equal), coefficient before primitive at each m.
 
-    E_{1+n/2} is built once by its divisor-sum sieve and each m is factored
-    once; the reports equal those of eisenstein_coefficient_identity and
-    primitive_eisenstein_identity.
+    Each side is a scale times an int (see _identity_sides), F and G
+    computed by independent routes, so F a == G b is decided as
+    F.num a G.den == G.num b F.den, and F a is written p/q in lowest terms
+    by one gcd(a, F.den), as gcd(F.num, F.den) = 1.  No Fraction is built
+    per m, each m is factored once, and the rows agree with
+    eisenstein_coefficient_identity and primitive_eisenstein_identity.
     """
     k = weight_for_signature(n)
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
-    coeffs = eisenstein(k, max_m + 1).coefficients
-    zeta = zeta_negative(n // 2)
+    sums = _divisor_sums(k - 1, max_m + 1)
+    scale_f, scale_g = _eisenstein_scale(k), 2 / zeta_negative(n // 2)
+    fn, fd = scale_f.numerator, scale_f.denominator
+    gn, gd = scale_g.numerator, scale_g.denominator
     out = []
     for m in range(1, max_m + 1):
-        f = factorize(m)
-        out.append(("coefficient", _coefficient_report(m, n, f, coeffs, zeta)))
-        out.append(("primitive", _primitive_report(m, n, f, coeffs, zeta)))
+        sides = _identity_sides(m, n // 2, factorize(m), sums)
+        for check, (a, b) in zip(("coefficient", "primitive"), sides):
+            ga, gb = gcd(a, fd), gcd(b, gd)
+            out.append((
+                check, m, f"{fn * a // ga}/{fd // ga}",
+                f"{gn * b // gb}/{gd // gb}", fn * a * gd == gn * b * fd,
+            ))
     return out
 
 

@@ -147,12 +147,15 @@ def cmd_identities(args) -> int:
     """Both Eisenstein identity checks for 1 <= m <= max_m; exit 0 iff all
     comparisons are exactly equal."""
     _note_physicality(args)
-    records = eisenstein_identity_scan(args.n, args.max_m)
-    first_failing = next((r.m for _, r in records if not r.equal), None)
+    rows = eisenstein_identity_scan(args.n, args.max_m)
+    first_failing = next((m for _, m, _, _, equal in rows if not equal), None)
     if args.format == "csv":
         _print_csv(
             [["check", "m", "n", "lhs", "rhs", "equal"]]
-            + [[check] + rep.record().split(", ") for check, rep in records]
+            + [
+                [check, m, args.n, lhs, rhs, "true" if equal else "false"]
+                for check, m, lhs, rhs, equal in rows
+            ]
         )
     else:
         doc = {
@@ -161,14 +164,8 @@ def cmd_identities(args) -> int:
             "n": args.n,
             "physical": args.physical,
             "records": [
-                {
-                    "check": check,
-                    "equal": rep.equal,
-                    "lhs": _frac_str(rep.lhs),
-                    "m": rep.m,
-                    "rhs": _frac_str(rep.rhs),
-                }
-                for check, rep in records
+                dict(check=check, equal=equal, lhs=lhs, m=m, rhs=rhs)
+                for check, m, lhs, rhs, equal in rows
             ],
             "weight": args.weight,
         }
@@ -267,23 +264,7 @@ def _parse_int_matrix(text: str, what: str):
 
 
 def cmd_lattice(args) -> int:
-    lattice = build_even_unimodular(args.n)
-    if args.subcommand == "build":
-        print(gram_to_json(lattice))
-        return 0
-    if args.subcommand == "moment":
-        vectors = _parse_int_matrix(args.vectors, "--vectors")
-        t = moment_matrix(lattice, [tuple(v) for v in vectors])
-        doc = {
-            "dimension": t.dimension,
-            "doubled": True,
-            "norms": [t.doubled[i][i] // 2 for i in range(t.dimension)],
-            "positive_definite": is_positive_definite(t),
-            "rows": [list(row) for row in t.doubled],
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-        return 0
-    if args.subcommand == "reduce":
+    if args.subcommand == "reduce":  # a reduction reads no lattice
         rows = _parse_int_matrix(args.doubled, "--doubled")
         try:
             t = HalfIntegralMatrix(tuple(tuple(r) for r in rows))
@@ -300,6 +281,22 @@ def cmd_lattice(args) -> int:
             "reduced_rows": [list(row) for row in reduced.doubled],
             "rows": [list(row) for row in t.doubled],
             "u": [list(row) for row in u],
+        }
+        print(json.dumps(doc, sort_keys=True, indent=2))
+        return 0
+    lattice = build_even_unimodular(args.n)
+    if args.subcommand == "build":
+        print(gram_to_json(lattice))
+        return 0
+    if args.subcommand == "moment":
+        vectors = _parse_int_matrix(args.vectors, "--vectors")
+        t = moment_matrix(lattice, [tuple(v) for v in vectors])
+        doc = {
+            "dimension": t.dimension,
+            "doubled": True,
+            "norms": [t.doubled[i][i] // 2 for i in range(t.dimension)],
+            "positive_definite": is_positive_definite(t),
+            "rows": [list(row) for row in t.doubled],
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
@@ -390,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vectors", required=True, help="JSON rows of lattice coordinates"
     )
     p_red = lat_sub.add_parser("reduce", help="Gauss-reduce a binary matrix")
-    p_red.add_argument("--n", type=int, default=10)
+    p_red.add_argument("--n", type=int, help="accepted and not read")
     p_red.add_argument(
         "--doubled", required=True, help="doubled matrix as JSON integer rows"
     )

@@ -60,19 +60,29 @@ def dim_mk(k: int) -> int:
     return k // 12 + (0 if k % 12 == 2 else 1)
 
 
-def eisenstein(k: int, precision: int) -> QSeries:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum_m sigma_{k-1}(m) q^m."""
-    if k % 2 == 1 or k < 4:
-        raise ValueError(f"Eisenstein series needs even k >= 4, got {k}")
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    factor = Fraction(-2 * k) / bernoulli(k)
-    # divisor-sum sieve: sums[m] = sigma_{k-1}(m) once d^(k-1) has been
-    # added at every multiple of every d, and no m is factorized
+def _divisor_sums(s: int, precision: int) -> list[int]:
+    """[0, sigma_s(1), ..., sigma_s(precision - 1)] by a sieve: d^s is added
+    at every multiple of every d, and no m is factorized."""
     sums = [0] * precision
     for d in range(1, precision):
-        power = d ** (k - 1)
+        power = d**s
         sums[d::d] = [x + power for x in sums[d::d]]
+    return sums
+
+
+def _eisenstein_scale(k: int) -> Fraction:
+    """The factor -2k/B_k of E_k = 1 + (-2k/B_k) sum_m sigma_{k-1}(m) q^m."""
+    if k % 2 == 1 or k < 4:
+        raise ValueError(f"Eisenstein series needs even k >= 4, got {k}")
+    return Fraction(-2 * k) / bernoulli(k)
+
+
+def eisenstein(k: int, precision: int) -> QSeries:
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum_m sigma_{k-1}(m) q^m."""
+    factor = _eisenstein_scale(k)
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+    sums = _divisor_sums(k - 1, precision)
     return QSeries(k, (Fraction(1), *(factor * x for x in sums[1:])))
 
 
@@ -87,11 +97,12 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _eisenstein_ints(k: int, precision: int) -> list[int]:
-    """Coefficients of E_k as ints; integral for k = 4 and 6."""
-    coeffs = eisenstein(k, precision).coefficients
-    if any(c.denominator != 1 for c in coeffs):
+    """E_k's coefficients as ints; -2k/B_k is an int for k = 4, 6, 8, 10, 14."""
+    factor = _eisenstein_scale(k)
+    if factor.denominator != 1:
         raise ArithmeticError(f"E_{k} does not have integer coefficients")
-    return [c.numerator for c in coeffs]
+    sums = _divisor_sums(k - 1, precision)
+    return [1] + [factor.numerator * x for x in sums[1:]]
 
 
 def _delta_ints(e4: list[int], e6: list[int]) -> list[int]:

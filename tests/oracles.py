@@ -14,7 +14,10 @@ Delta itself comes from the Jacobi product.  Miller bases have a second
 construction: the monomials E_4^a E_6^b, powered in plain ints, reduced to
 echelon form by Fraction row reduction.  E_k has a brute-force
 divisor-sum construction with an Akiyama-Tanigawa Bernoulli number, and
-the primitive Heegner class P_m its square-divisor Moebius sum.
+the primitive Heegner class P_m its square-divisor Moebius sum.  The
+Eisenstein identity scan has its former Fraction version, which reads E_k
+as a Fraction q-expansion and builds every side and comparison in
+Fractions.
 """
 
 import functools
@@ -23,8 +26,13 @@ import math
 from fractions import Fraction
 
 from cyclecones.classes import FunctionalCombo
-from cyclecones.numtheory import moebius, square_divisors
-from cyclecones.qseries import MillerBasis, QSeries
+from cyclecones.numtheory import (
+    factorize,
+    moebius,
+    square_divisors,
+    zeta_negative,
+)
+from cyclecones.qseries import MillerBasis, QSeries, eisenstein
 
 
 def rref(rows) -> list[list[Fraction]]:
@@ -334,6 +342,29 @@ def moebius_primitive_class(m, k):
             idx = m // (t * t)
             acc[idx] = acc.get(idx, Fraction(0)) + mu
     return FunctionalCombo(k, tuple(acc.items()))
+
+
+def fraction_identity_scan(n, max_m):
+    """Both Eisenstein identity checks for 1 <= m <= max_m as rows
+    (check, m, lhs, rhs, equal) of Fractions, coefficient before primitive
+    at each m: c_m(E_k) against 2 sigma_{n/2}(m) / zeta(-n/2), and the
+    square-divisor Moebius sum of c_{m/t^2}(E_k) against the Euler product
+    (2 m^{n/2} / zeta(-n/2)) prod_{p | m} (1 + p^{-n/2}), all in Fractions.
+    The reference for classes.eisenstein_identity_scan, which runs in ints."""
+    s = n // 2
+    coeffs = eisenstein(s + 1, max_m + 1).coefficients
+    zeta = zeta_negative(s)
+    out = []
+    for m in range(1, max_m + 1):
+        f = factorize(m)
+        lhs, rhs = coeffs[m], 2 * f.sigma(s) / zeta
+        out.append(("coefficient", m, lhs, rhs, lhs == rhs))
+        lhs = sum(moebius(t) * coeffs[m // (t * t)] for t in square_divisors(m))
+        rhs = Fraction(2 * m**s) / zeta
+        for p, _ in f.pairs:
+            rhs *= 1 + Fraction(1, p**s)
+        out.append(("primitive", m, lhs, rhs, lhs == rhs))
+    return out
 
 
 def int_product(a, b):

@@ -69,7 +69,7 @@ def test_criterion_1_eisenstein_coefficient_identity():
         series = eisenstein(weight_for_signature(n), 201)
         for m in range(1, 201):
             report = eisenstein_coefficient_identity(m, n, series)
-            assert report.equal, f"mismatch at n={n}, m={m}: {report.record()}"
+            assert report.equal, f"mismatch at n={n}, m={m}: {report}"
     print("ACCEPTANCE 1 (Eisenstein coefficient identity, m<=200): PASS")
 
 
@@ -78,7 +78,7 @@ def test_criterion_2_primitive_class_evaluation():
         series = eisenstein(weight_for_signature(n), 201)
         for m in range(1, 201):
             report = primitive_eisenstein_identity(m, n, series)
-            assert report.equal, f"mismatch at n={n}, m={m}: {report.record()}"
+            assert report.equal, f"mismatch at n={n}, m={m}: {report}"
             assert report.lhs != 0, f"vanishing value at n={n}, m={m}"
     print("ACCEPTANCE 2 (primitive-class evaluation, nonzero, m<=200): PASS")
 

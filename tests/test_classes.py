@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cyclecones import classes
+from cyclecones import classes, qseries
 from cyclecones.classes import (
     ClassVector,
     FunctionalCombo,
@@ -21,7 +22,7 @@ from cyclecones.classes import (
 )
 from cyclecones.numtheory import sigma, zeta_negative
 from cyclecones.qseries import QSeries, dim_mk, eisenstein, miller_basis
-from oracles import moebius_primitive_class
+from oracles import fraction_identity_scan, moebius_primitive_class
 
 
 def test_heegner_and_omega():
@@ -160,7 +161,9 @@ def test_representation_consistency():
 def test_identity_reports():
     r = eisenstein_coefficient_identity(1, 10)
     assert (r.lhs, r.rhs, r.equal) == (Fraction(-504), Fraction(-504), True)
-    assert r.record() == "1, 10, -504/1, -504/1, true"
+    assert eisenstein_identity_scan(10, 1)[0] == (
+        "coefficient", 1, "-504/1", "-504/1", True
+    )
     r = eisenstein_coefficient_identity(2, 10)
     assert r.lhs == r.rhs == -16632
 
@@ -203,6 +206,10 @@ def test_primitive_class_matches_moebius_sum():
         assert primitive_heegner_class(m, 6) == moebius_primitive_class(m, 6), m
 
 
+def _written(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
 @pytest.mark.parametrize("n", (10, 18, 26, 50))
 def test_identity_scan_matches_the_per_index_checks(n):
     series = eisenstein(weight_for_signature(n), 201)
@@ -211,9 +218,11 @@ def test_identity_scan_matches_the_per_index_checks(n):
         want.append(("coefficient", eisenstein_coefficient_identity(m, n, series)))
         want.append(("primitive", primitive_eisenstein_identity(m, n, series)))
     got = eisenstein_identity_scan(n, 200)
-    assert got == want
-    assert all(rep.equal for _, rep in got)
-    assert [(c, r.m) for c, r in eisenstein_identity_scan(n, 2)] == [
+    assert got == [
+        (c, r.m, _written(r.lhs), _written(r.rhs), r.equal) for c, r in want
+    ]
+    assert all(row[4] for row in got)
+    assert [row[:2] for row in eisenstein_identity_scan(n, 2)] == [
         ("coefficient", 1), ("primitive", 1), ("coefficient", 2), ("primitive", 2)
     ]
     assert eisenstein_identity_scan(n, 0) == []
@@ -230,6 +239,64 @@ def test_identity_scan_factorizes_each_index_once(monkeypatch):
     monkeypatch.setattr(classes, "factorize", counted)
     eisenstein_identity_scan(18, 500)
     assert calls == list(range(1, 501))
+
+
+# n = 22, 30 and 42 are the weights 12, 16 and 22, whose scale -2k/B_k has
+# a denominator other than 1 (65520/691 at k = 12), as at n = 34 and 50
+@pytest.mark.parametrize("n", (10, 18, 26, 34, 50, 22, 30, 42))
+def test_identity_scan_matches_the_fraction_scan(n):
+    got = eisenstein_identity_scan(n, 1000)
+    assert got == _fraction_rows(n, 1000)
+    assert all(row[4] for row in got)
+
+
+def test_identity_scan_decides_unequal_sides_as_fractions_do(monkeypatch):
+    # a sieve off by -1, 0 or +1 by index makes most checks fail; the
+    # integer cross-product must decide them, and print both sides, as
+    # Fraction arithmetic on the same wrong E_k does
+    real = qseries._divisor_sums
+
+    def perturbed(s, precision):
+        return [x + i % 3 - 1 for i, x in enumerate(real(s, precision))]
+
+    for module in (qseries, classes):
+        monkeypatch.setattr(module, "_divisor_sums", perturbed)
+    for n in (10, 22, 34):
+        want = _fraction_rows(n, 300)
+        assert sum(not row[4] for row in want) > 300
+        assert eisenstein_identity_scan(n, 300) == want
+
+
+def _fraction_rows(n, max_m):
+    return [
+        (c, m, _written(lhs), _written(rhs), equal)
+        for c, m, lhs, rhs, equal in fraction_identity_scan(n, max_m)
+    ]
+
+
+def test_identity_scan_builds_no_fraction_per_index():
+    # a Fraction is born in Fraction.__new__, or on Python 3.12 and later
+    # also in Fraction._from_coprime_ints; the count must not grow with m
+    born = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        born.add(Fraction._from_coprime_ints.__func__.__code__)
+    eisenstein_identity_scan(18, 1)  # fills the Bernoulli cache
+
+    def fractions_built(max_m):
+        count = 0
+
+        def hook(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code in born
+
+        sys.setprofile(hook)
+        try:
+            eisenstein_identity_scan(18, max_m)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    assert 0 < fractions_built(500) == fractions_built(1000)
 
 
 def test_identity_checks_reject_bad_input():

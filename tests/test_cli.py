@@ -10,7 +10,6 @@ import pytest
 from conftest import SRC
 from cyclecones import classes, cli, cones
 from cyclecones.cli import main
-from cyclecones.qseries import QSeries
 
 
 def run(capsys, *argv):
@@ -51,16 +50,17 @@ def test_identities_json(capsys):
 
 
 def test_identities_report_a_failed_check(capsys, monkeypatch):
-    # E_6 with c_4 off by one: both checks at m = 4 read c_4 (P_4 = c_4 -
-    # c_1), and no other index up to 6 does
-    real = classes.eisenstein
+    # E_6 with c_4 off: its divisor sum sigma_5(4) is off by one, so c_4 is
+    # off by -504.  Both checks at m = 4 read c_4 (P_4 = c_4 - c_1), and no
+    # other index up to 6 does
+    real = classes._divisor_sums
 
-    def wrong_c4(k, precision):
-        coeffs = list(real(k, precision).coefficients)
-        coeffs[4] += 1
-        return QSeries(k, tuple(coeffs))
+    def wrong_c4(s, precision):
+        sums = real(s, precision)
+        sums[4] += 1
+        return sums
 
-    monkeypatch.setattr(classes, "eisenstein", wrong_c4)
+    monkeypatch.setattr(classes, "_divisor_sums", wrong_c4)
     code, out, err = run(capsys, "identities", "--n", "10", "--max-m", "6")
     assert code == 1
     assert err.strip().splitlines()[-1] == "identity check failed first at m = 4"
@@ -80,6 +80,32 @@ def test_identities_report_a_failed_check(capsys, monkeypatch):
     assert [(r["check"], r["m"]) for r in doc["records"] if not r["equal"]] == [
         ("coefficient", 4), ("primitive", 4)
     ]
+
+
+def test_identities_print_a_zero_side_as_0_over_1(capsys, monkeypatch):
+    # E_6 with c_4 = c_1 makes P_4 = c_4 - c_1 vanish
+    real = classes._divisor_sums
+
+    def c4_is_c1(s, precision):
+        sums = real(s, precision)
+        sums[4] = sums[1]
+        return sums
+
+    monkeypatch.setattr(classes, "_divisor_sums", c4_is_c1)
+    code, out, err = run(capsys, "identities", "--n", "10", "--max-m", "4")
+    assert code == 1
+    assert err.strip().splitlines()[-1] == "identity check failed first at m = 4"
+    # the Euler product at 4 is 2^5 (2^5 + 1) = 1056
+    assert out.splitlines()[-1] == "primitive,4,10,0/1,-532224/1,false"
+
+    code, out, _ = run(
+        capsys, "identities", "--n", "10", "--max-m", "4", "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out)["records"][-1] == {
+        "check": "primitive", "equal": False, "lhs": "0/1", "m": 4,
+        "rhs": "-532224/1",
+    }
 
 
 def test_identities_usage_errors(capsys):
@@ -362,6 +388,17 @@ def test_lattice_reduce(capsys):
         capsys, "lattice", "reduce", "--n", "10", "--doubled", "[[2,2],[2,2]]"
     )
     assert code == 2 and "positive definite" in err
+
+
+def test_lattice_reduce_reads_no_lattice(capsys):
+    # no even unimodular lattice has signature (11, 2), and a reduction
+    # needs none: --n is accepted and not read
+    argv = ("lattice", "reduce", "--doubled", "[[4,3],[3,4]]")
+    code, out, err = run(capsys, *argv, "--n", "11")
+    assert (code, err) == (0, "")
+    assert (0, out, "") == run(capsys, *argv)
+    code, _, err = run(capsys, "lattice", "build", "--n", "11")
+    assert code == 2 and "no even unimodular lattice" in err
 
 
 def test_lattice_family(capsys):

@@ -51,6 +51,15 @@ def test_eisenstein_matches_brute_force_divisor_sums():
         assert eisenstein(k, 300).coefficients == eisenstein_ints(k, 300), k
 
 
+def test_integer_eisenstein_needs_an_integral_scale():
+    for k in range(4, 61, 2):
+        if k in (4, 6, 8, 10, 14):
+            assert qseries._eisenstein_ints(k, 50) == list(eisenstein_ints(k, 50))
+        else:  # -2k/B_k is not an int
+            with pytest.raises(ArithmeticError, match="integer coefficients"):
+                qseries._eisenstein_ints(k, 50)
+
+
 def test_eisenstein_rejects_bad_weight():
     for k in (2, 3, 0, -4, 5):
         with pytest.raises(ValueError):
