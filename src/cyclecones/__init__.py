@@ -10,7 +10,6 @@ from .classes import (
     coordinates,
     eisenstein_coefficient_identity,
     eisenstein_identity_scan,
-    evaluate,
     heegner_class,
     heegner_from_primitive,
     limit_prefactor,
@@ -24,8 +23,6 @@ from .cones import (
     NotPointedError,
     Ray,
     accumulation_cone_model,
-    canonicalize,
-    class_ray,
     convergence_scan,
     extremal_generators,
     extremal_rays,
@@ -62,7 +59,6 @@ from .numtheory import (
 from .qseries import (
     MillerBasis,
     QSeries,
-    delta,
     dim_mk,
     dump_miller_basis,
     eisenstein,

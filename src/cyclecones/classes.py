@@ -30,7 +30,6 @@ __all__ = [
     "primitive_heegner_class",
     "heegner_from_primitive",
     "coordinates",
-    "evaluate",
     "eisenstein_coefficient_identity",
     "primitive_eisenstein_identity",
     "eisenstein_identity_scan",
@@ -171,17 +170,6 @@ def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
         for f in basis.basis
     )
     return ClassVector(combo.weight, coords)
-
-
-def evaluate(combo: FunctionalCombo, f: QSeries) -> int | Fraction:
-    """Apply the functional to a form: sum_m a_m (coefficient of q^m in f)."""
-    if combo.weight != f.weight:
-        raise ValueError(f"combo weight {combo.weight} != form weight {f.weight}")
-    if combo.terms and f.precision <= combo.max_index():
-        raise ValueError(
-            f"precision {f.precision} too small for index {combo.max_index()}"
-        )
-    return sum(a * f.coefficients[m] for m, a in combo.terms)
 
 
 class IdentityReport(_Record):

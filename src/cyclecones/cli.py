@@ -18,11 +18,11 @@ from pathlib import Path
 from .classes import eisenstein_identity_scan, weight_for_signature
 from .cones import (
     NotPointedError,
+    Ray,
+    _extremal_sweep,
     accumulation_cone_model,
     convergence_scan,
     extremal_generators,
-    extremal_rays,
-    canonicalize,
     span_dimension,
 )
 from .lattice import (
@@ -236,15 +236,16 @@ def cmd_cone(args) -> int:
         doc["pointed"] = False
     else:
         doc["pointed"] = True
-        rays = sorted(
-            {canonicalize(cone.generators[j]) for j in idx},
-            key=lambda r: r.canonical,
-        )
+        rays = {Ray(cone.generators[j].coords) for j in idx}
         doc["extremal_indices"] = idx
         doc["extremal_rays"] = [
-            [_frac_str(c) for c in r.canonical] for r in rays
+            [_frac_str(c) for c in canonical]
+            for canonical in sorted(r.canonical for r in rays)
         ]
-        doc["extremal_stable"] = extremal_rays(half_cone) == set(rays)
+        # a prefix of the pointed cone's generators: pointed, no LP needed
+        half = {Ray(half_cone.generators[j].coords)
+                for j in _extremal_sweep(half_cone)}
+        doc["extremal_stable"] = half == rays
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

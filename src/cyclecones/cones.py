@@ -1,11 +1,11 @@
 """Exact rational ray and cone geometry.
 
-Rays are oriented (positive scaling only).  A printed ray is its canonical
-representative, normalized so the largest absolute coordinate is 1; the
-extremality sweep instead names a ray by its primitive integer vector.
-Cone questions (pointedness, membership, extremality) are decided by an
-exact simplex with Bland's rule on integer rows; no floating point enters
-any decision.
+Rays are oriented (positive scaling only).  A ray is stored as its
+primitive integer vector; its canonical representative, normalized so the
+largest absolute coordinate is 1, is built only for printing.  Cone
+questions (pointedness, membership, extremality) are decided by an exact
+simplex with Bland's rule on integer rows; no floating point enters any
+decision.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ __all__ = [
     "Ray",
     "Cone",
     "NotPointedError",
-    "canonicalize",
     "ray_distance",
     "omega_ray",
-    "class_ray",
     "convergence_scan",
     "accumulation_cone_model",
     "is_pointed",
@@ -45,24 +43,47 @@ __all__ = [
 ]
 
 
-class Ray(_Record, compare=("canonical",)):
-    """Canonical representative of an oriented ray: max |coordinate| = 1.
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a positive factor)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Two rays are equal exactly when their canonical vectors are equal; the
-    weight is a bookkeeping tag and does not enter comparisons.
+
+def _ray_key(coords) -> tuple[int, ...]:
+    """The primitive integer vector on the oriented ray of a nonzero
+    rational vector: the coordinates times the lcm of their denominators,
+    over the gcd of the result.  Two nonzero vectors lie on one oriented
+    ray exactly when their keys are equal."""
+    den = lcm(*(c.denominator for c in coords))
+    return tuple(_primitive([c.numerator * (den // c.denominator)
+                             for c in coords]))
+
+
+class Ray(_Record, compare=("key",)):
+    """Oriented ray of a nonzero rational vector, held as its primitive
+    integer vector ``key``.
+
+    Two rays are equal exactly when their keys are equal; the weight is a
+    bookkeeping tag and does not enter comparisons.
     """
 
-    __slots__ = ("canonical", "weight")
+    __slots__ = ("key", "weight")
 
-    def __init__(
-        self, canonical: tuple[Fraction, ...], weight: int | None = None
-    ) -> None:
-        object.__setattr__(self, "canonical", canonical)
+    def __init__(self, coords, weight: int | None = None) -> None:
+        if not any(coords):
+            raise ValueError("the zero vector spans no ray")
+        object.__setattr__(self, "key", _ray_key(coords))
         object.__setattr__(self, "weight", weight)
 
     @property
+    def canonical(self) -> tuple[Fraction, ...]:
+        """The representative with max |coordinate| = 1, as Fractions."""
+        m = max(map(abs, self.key))
+        return tuple(Fraction(c, m) for c in self.key)
+
+    @property
     def dimension(self) -> int:
-        return len(self.canonical)
+        return len(self.key)
 
 
 class Cone(_Record, compare=("generators",)):
@@ -92,24 +113,17 @@ class NotPointedError(ValueError):
     line."""
 
 
-def canonicalize(v: ClassVector) -> Ray:
-    """Scale by the positive rational 1/max|coord|; orientation preserved.
-
-    The canonical coordinates are Fractions, also for int coordinates.
-    """
-    if v.is_zero():
-        raise ValueError("cannot canonicalize the zero vector")
-    m = max(abs(c) for c in v.coords)
-    return Ray(tuple(Fraction(c, m) for c in v.coords), v.weight)
-
-
 def ray_distance(r1: Ray, r2: Ray) -> Fraction:
-    """L-infinity distance between canonical representatives."""
+    """L-infinity distance between canonical representatives, in ints: for
+    keys u, v with a = max |u_i|, b = max |v_i| it is max_i |u_i b - v_i a|
+    over a b, one Fraction per pair."""
     if r1.dimension != r2.dimension:
         raise ValueError(
             f"dimension mismatch: {r1.dimension} vs {r2.dimension}"
         )
-    return max(abs(a - b) for a, b in zip(r1.canonical, r2.canonical))
+    u, v = r1.key, r2.key
+    a, b = max(map(abs, u)), max(map(abs, v))
+    return Fraction(max(abs(x * b - y * a) for x, y in zip(u, v)), a * b)
 
 
 def omega_ray(k: int, basis: MillerBasis | None = None) -> Ray:
@@ -119,12 +133,7 @@ def omega_ray(k: int, basis: MillerBasis | None = None) -> Ray:
         raise ValueError(f"weight {k} has an empty form space")
     if basis is None:
         basis = miller_basis(k, d)
-    return canonicalize(coordinates(omega_class(k), basis))
-
-
-def class_ray(combo, basis: MillerBasis) -> Ray:
-    """Canonical ray of a functional's coordinate vector."""
-    return canonicalize(coordinates(combo, basis))
+    return Ray(coordinates(omega_class(k), basis).coords, k)
 
 
 def _scan_basis(k: int, min_precision: int) -> MillerBasis:
@@ -142,8 +151,8 @@ def convergence_scan(
     For each m the (primitive) Heegner class ray is compared with the
     omega ray in the L-infinity ray metric.  The distances tend to 0 for
     k = 2 mod 4; for k = 0 mod 4 the Eisenstein sign flips and the limit
-    ray is +e_0 instead, so distances approach 2 (use class_ray to inspect
-    the limit actually attained).
+    ray is +e_0 instead, so distances approach 2 (a class's
+    Ray(coordinates(combo, basis).coords) shows the limit attained).
     """
     m_set = list(m_set)
     if any(m < 1 for m in m_set):
@@ -154,7 +163,7 @@ def convergence_scan(
     build = primitive_heegner_class if primitive else heegner_class
     out = []
     for m in m_set:
-        ray = class_ray(build(m, k), basis)
+        ray = Ray(coordinates(build(m, k), basis).coords)
         out.append((m, ray_distance(ray, target)))
     return out
 
@@ -182,12 +191,6 @@ def accumulation_cone_model(
 # ---------------------------------------------------------------------------
 # Exact LP core: Phase-I simplex on integer rows with Bland's rule.
 # ---------------------------------------------------------------------------
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (a positive factor)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _phase1(A, b, den, n):
@@ -282,13 +285,14 @@ def _integral(coef, rhs):
 
 
 def lp_feasible(n_vars: int, ge=(), eq=(), nonneg: bool = False):
-    """Exact feasibility of a rational linear system; witness or None.
+    """Exact feasibility of a rational linear system; (X, D) or None.
 
     ``ge`` rows are pairs (coefficients, rhs) meaning coeffs . x >= rhs,
     ``eq`` rows mean coeffs . x == rhs.  Coefficients are ints or
     Fractions; anything else (a float, say) raises TypeError.  Variables
-    are free unless ``nonneg`` is set.  A returned witness is a tuple of
-    Fractions, verified in ints against every row before being handed back.
+    are free unless ``nonneg`` is set.  A feasible system gives the
+    witness x = X / D as a list X of ints and an int D > 0, verified in
+    ints against every row before being handed back.
     """
     eq = [_integral(c, r) for c, r in eq]
     ge = [_integral(c, r) for c, r in ge]
@@ -329,7 +333,7 @@ def lp_feasible(n_vars: int, ge=(), eq=(), nonneg: bool = False):
     for i, (coef, rhs, _) in enumerate(ge):
         if sum(c * v for c, v in zip(coef, x)) < rhs * D:
             raise ArithmeticError(f"LP witness violates inequality row {i}")
-    return tuple(Fraction(v, D) for v in x)
+    return x, D
 
 
 def member(v: ClassVector, cone: Cone) -> bool:
@@ -376,17 +380,8 @@ def pointedness_witness(cone: Cone):
     if not cone.generators:
         return ()
     ge = [(list(g.coords), 1) for g in cone.generators]
-    return lp_feasible(cone.dimension, ge=ge)
-
-
-def _ray_key(coords) -> tuple[int, ...]:
-    """The primitive integer vector on the oriented ray of a nonzero
-    rational vector: the coordinates times the lcm of their denominators,
-    over the gcd of the result.  Two nonzero vectors lie on one oriented
-    ray exactly when their keys are equal."""
-    den = lcm(*(c.denominator for c in coords))
-    return tuple(_primitive([c.numerator * (den // c.denominator)
-                             for c in coords]))
+    sol = lp_feasible(cone.dimension, ge=ge)
+    return None if sol is None else tuple(Fraction(x, sol[1]) for x in sol[0])
 
 
 def extremal_generators(cone: Cone) -> list[int]:
@@ -409,6 +404,12 @@ def extremal_generators(cone: Cone) -> list[int]:
         raise NotPointedError(
             "extremal rays are only defined for pointed cones"
         )
+    return _extremal_sweep(cone)
+
+
+def _extremal_sweep(cone: Cone) -> list[int]:
+    """extremal_generators without its pointedness LP: the cone must be
+    known to be pointed."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, g in enumerate(cone.generators):
         groups.setdefault(_ray_key(g.coords), []).append(j)
@@ -430,9 +431,10 @@ def extremal_generators(cone: Cone) -> list[int]:
 
 
 def extremal_rays(cone: Cone) -> set[Ray]:
-    """Canonical rays of the extremal generators."""
-    idx = extremal_generators(cone)
-    return {canonicalize(cone.generators[j]) for j in idx}
+    """Rays of the extremal generators."""
+    gens = cone.generators
+    return {Ray(gens[j].coords, gens[j].weight)
+            for j in extremal_generators(cone)}
 
 
 def span_dimension(cone: Cone) -> int:

@@ -1,11 +1,11 @@
 """Exact q-expansion engine for level-1 modular forms.
 
 A form of even weight k is represented by the first N coefficients of its
-q-expansion, all exact: ints where the form is integral (the discriminant
-and the Miller bases), Fractions otherwise.  The module provides the
-normalized Eisenstein series E_k, the discriminant cusp form, the weight-k
-dimension formula, and echelonized (Miller) bases built in integers by
-Miller's Delta^j construction.
+q-expansion, all exact: ints where the form is integral (the Miller
+bases), Fractions otherwise.  The module provides the normalized
+Eisenstein series E_k, the weight-k dimension formula, and echelonized
+(Miller) bases built in integers by Miller's Delta^j construction from
+the discriminant cusp form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "MillerBasis",
     "dim_mk",
     "eisenstein",
-    "delta",
     "miller_basis",
     "dump_miller_basis",
     "load_miller_basis",
@@ -115,15 +114,6 @@ def _delta_ints(e4: list[int], e6: list[int]) -> list[int]:
             raise ArithmeticError("E_4^3 - E_6^2 is not divisible by 1728")
         out.append(c)
     return out
-
-
-def delta(precision: int) -> QSeries:
-    """The discriminant cusp form (E_4^3 - E_6^2)/1728 of weight 12."""
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    e4 = _eisenstein_ints(4, precision)
-    e6 = _eisenstein_ints(6, precision)
-    return QSeries(12, tuple(_delta_ints(e4, e6)))
 
 
 class MillerBasis(_Record):

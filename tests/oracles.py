@@ -17,7 +17,10 @@ divisor-sum construction with an Akiyama-Tanigawa Bernoulli number, and
 the primitive Heegner class P_m its square-divisor Moebius sum.  The
 Eisenstein identity scan has its former Fraction version, which reads E_k
 as a Fraction q-expansion and builds every side and comparison in
-Fractions.
+Fractions.  The L-infinity ray distance has its Fraction version, which
+scales each ray to max |coordinate| = 1 and subtracts coordinate by
+coordinate, and a functional is applied to a form directly on its
+q-expansion.
 """
 
 import functools
@@ -305,6 +308,29 @@ def fraction_lp_feasible(n_vars, ge=(), eq=(), nonneg=False):
     return tuple(sol[j] - sol[n_vars + j] for j in range(n_vars))
 
 
+def fraction_ray_distance(u, v):
+    """L-infinity distance between the canonical representatives of two
+    nonzero rational vectors of one length, built in Fractions: the
+    reference for cones.ray_distance, which reads primitive integer keys."""
+    cu, cv = (
+        [Fraction(c) / max(abs(x) for x in w) for c in w] for w in (u, v)
+    )
+    return max(abs(a - b) for a, b in zip(cu, cv))
+
+
+def evaluate(combo, f):
+    """Apply the functional to a form: sum_m a_m (coefficient of q^m in
+    f), read off the q-expansion; the reference for classes.coordinates,
+    which pairs the functional with a Miller basis."""
+    if combo.weight != f.weight:
+        raise ValueError(f"combo weight {combo.weight} != form weight {f.weight}")
+    if combo.terms and f.precision <= combo.max_index():
+        raise ValueError(
+            f"precision {f.precision} too small for index {combo.max_index()}"
+        )
+    return sum(a * f.coefficients[m] for m, a in combo.terms)
+
+
 def bernoulli_akiyama_tanigawa(n):
     """Bernoulli number B_n by the Akiyama-Tanigawa triangle, adjusted to
     B_1 = -1/2; independent of numtheory.bernoulli's recurrence."""
@@ -424,7 +450,7 @@ def delta_e6_coefficients(precision):
 
     Delta comes from the Jacobi product and E_6 from
     1 - 504 sum sigma_5(n) q^n, both in plain ints, so nothing here goes
-    through qseries.delta, miller_basis or numtheory.bernoulli.
+    through qseries._delta_ints, miller_basis or numtheory.bernoulli.
     """
     return list(
         int_product(jacobi_delta(precision), eisenstein_ints(6, precision))

@@ -11,7 +11,6 @@ from cyclecones.classes import (
     coordinates,
     eisenstein_coefficient_identity,
     eisenstein_identity_scan,
-    evaluate,
     heegner_class,
     heegner_from_primitive,
     limit_prefactor,
@@ -22,7 +21,7 @@ from cyclecones.classes import (
 )
 from cyclecones.numtheory import sigma, zeta_negative
 from cyclecones.qseries import QSeries, dim_mk, eisenstein, miller_basis
-from oracles import fraction_identity_scan, moebius_primitive_class
+from oracles import evaluate, fraction_identity_scan, moebius_primitive_class
 
 
 def test_heegner_and_omega():

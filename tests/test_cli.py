@@ -189,10 +189,11 @@ def test_cone_report_runs_the_pointedness_lp_once(capsys, monkeypatch):
     monkeypatch.setattr(cones, "lp_feasible", counted)
     code, _, _ = run(capsys, "cone", "--n", "34", "--max-m", "200")
     assert code == 0
-    # one pointedness LP of 201 columns for the cone and one of 101 for
-    # the half cone; checking the cone's pointedness twice made 309 / 1,109
-    assert (len(columns), sum(columns)) == (308, 908)
-    assert columns.count(201) == 1
+    # one pointedness LP of 201 columns for the cone and none for the half
+    # cone, a prefix of it; an LP of 101 columns for the half cone made
+    # 308 / 908, and checking the cone's pointedness twice 309 / 1,109
+    assert (len(columns), sum(columns)) == (307, 807)
+    assert columns.count(201) == 1 and 101 not in columns
 
     columns.clear()
     code, out, _ = run(capsys, "cone", "--weight", "4", "--max-m", "30")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,14 +10,16 @@ from hypothesis import strategies as st
 
 from cyclecones import cones
 from cyclecones.cli import main
-from cyclecones.classes import ClassVector, primitive_heegner_class
+from cyclecones.classes import (
+    ClassVector,
+    coordinates,
+    primitive_heegner_class,
+)
 from cyclecones.cones import (
     Cone,
     NotPointedError,
     Ray,
     accumulation_cone_model,
-    canonicalize,
-    class_ray,
     convergence_scan,
     extremal_generators,
     extremal_rays,
@@ -34,6 +37,7 @@ from oracles import (
     brute_member,
     brute_pointed,
     fraction_lp_feasible,
+    fraction_ray_distance,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=10)
@@ -43,8 +47,20 @@ def vec(*coords):
     return ClassVector(None, tuple(Fraction(c) for c in coords))
 
 
+def ray(*coords):
+    return Ray(vec(*coords).coords)
+
+
 def cone_of(*gens):
     return Cone(tuple(vec(*g) for g in gens))
+
+
+def witness(sol):
+    """lp_feasible's (X, D) as the tuple of Fractions X / D; None kept."""
+    if sol is None:
+        return None
+    X, D = sol
+    return tuple(Fraction(v, D) for v in X)
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +69,10 @@ def cone_of(*gens):
 
 
 def test_canonicalize_examples():
-    assert canonicalize(vec(2, 0)).canonical == (1, 0)
-    assert canonicalize(vec(-3, 1)).canonical == (-1, Fraction(1, 3))
+    assert ray(2, 0).canonical == (1, 0)
+    assert ray(-3, 1).canonical == (-1, Fraction(1, 3))
     with pytest.raises(ValueError):
-        canonicalize(vec(0, 0))
+        ray(0, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,19 +83,18 @@ def test_canonicalize_examples():
 def test_canonicalize_scale_invariant_and_idempotent(coords, scale):
     if all(c == 0 for c in coords):
         return
-    v = vec(*coords)
-    r = canonicalize(v)
-    assert canonicalize(vec(*(scale * c for c in coords))) == r
-    assert canonicalize(ClassVector(None, r.canonical)) == r
+    r = ray(*coords)
+    assert ray(*(scale * c for c in coords)) == r
+    assert Ray(r.canonical) == r
     assert max(abs(c) for c in r.canonical) == 1
 
 
 def test_canonicalize_int_coordinates_gives_fractions():
     for coords in ((4, -6), (0, 3), (-7,), (196560, -24)):
-        r = canonicalize(ClassVector(None, coords))
+        r = Ray(coords)
         assert all(type(c) is Fraction for c in r.canonical)
-        assert r == canonicalize(vec(*coords))
-    assert canonicalize(ClassVector(None, (4, -6))).canonical == (
+        assert r == ray(*coords)
+    assert Ray((4, -6)).canonical == (
         Fraction(2, 3), -1
     )
 
@@ -100,26 +115,24 @@ def test_ray_key_names_the_oriented_ray(a, b, scale):
         [Fraction(c.numerator) for c in a]
     )
     if len(a) == len(b):
-        same_ray = canonicalize(vec(*a)) == canonicalize(vec(*b))
+        same_ray = fraction_ray_distance(a, b) == 0
         assert (cones._ray_key(b) == key) == same_ray
 
 
 def test_opposite_rays_are_distinct():
-    r1 = canonicalize(vec(1, 0))
-    r2 = canonicalize(vec(-1, 0))
+    r1 = ray(1, 0)
+    r2 = ray(-1, 0)
     assert r1 != r2
     assert ray_distance(r1, r2) == 2
 
 
 def test_ray_distance_examples():
-    r = canonicalize(vec(3, 1))
+    r = ray(3, 1)
     assert ray_distance(r, r) == 0
     eps = Fraction(1, 97)
-    assert ray_distance(
-        canonicalize(vec(1, eps)), canonicalize(vec(1, 0))
-    ) == eps
+    assert ray_distance(ray(1, eps), ray(1, 0)) == eps
     with pytest.raises(ValueError):
-        ray_distance(canonicalize(vec(1)), canonicalize(vec(1, 0)))
+        ray_distance(ray(1), ray(1, 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,7 +143,7 @@ def test_ray_distance_examples():
 )
 def test_ray_distance_is_a_metric(a, b, c):
     vs = [x for x in (a, b, c) if any(x)]
-    rays = [canonicalize(vec(*x)) for x in vs]
+    rays = [ray(*x) for x in vs]
     for r in rays:
         assert ray_distance(r, r) == 0
     for r, s in itertools.combinations(rays, 2):
@@ -139,6 +152,74 @@ def test_ray_distance_is_a_metric(a, b, c):
     if len(rays) == 3:
         r, s, t = rays
         assert ray_distance(r, t) <= ray_distance(r, s) + ray_distance(s, t)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two nonzero rational vectors of one dimension in 1..6, with small,
+    huge and tiny entries of both signs; the second is often a positive
+    or a negative multiple of the first."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(
+        rationals,
+        st.fractions(min_value=-10**12, max_value=10**12,
+                     max_denominator=10**6),
+        st.sampled_from([0, 0, 1, -1]).map(Fraction),
+    )
+    vector = st.lists(entry, min_size=n, max_size=n).filter(any)
+    u = draw(vector)
+    how = draw(st.sampled_from(["independent", "same", "opposite"]))
+    if how == "independent":
+        return u, draw(vector)
+    scale = draw(st.fractions(min_value=Fraction(1, 10**4),
+                              max_value=10**4, max_denominator=10**4))
+    if how == "opposite":
+        scale = -scale
+    return u, [scale * c for c in u]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_pairs())
+def test_ray_distance_matches_the_fraction_distance(pair):
+    u, v = pair
+    d = ray_distance(Ray(u), Ray(v))
+    assert type(d) is Fraction
+    assert d == fraction_ray_distance(u, v)
+    assert (Ray(u) == Ray(v)) == (d == 0)
+
+
+def _fractions_built(fn) -> int:
+    """How many Fractions fn() constructs, counted by a profile hook on
+    Fraction's constructors (``_from_coprime_ints`` builds arithmetic
+    results from Python 3.12 on)."""
+    codes = {Fraction.__new__.__code__}
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:
+        codes.add(coprime.__func__.__code__)
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_convergence_scan_builds_one_fraction_per_index():
+    basis = miller_basis(66, 1001)
+    counts = [
+        _fractions_built(
+            lambda: convergence_scan(66, range(1, top + 1), basis=basis)
+        )
+        for top in (500, 1000)
+    ]
+    assert counts[1] - counts[0] == 500
 
 
 def test_omega_ray():
@@ -155,7 +236,8 @@ def test_omega_ray():
 
 
 def test_lp_feasible_trivial_cases():
-    assert lp_feasible(1, ge=[([1], 1)]) == (1,)
+    assert lp_feasible(1, ge=[([1], 1)]) == ([1], 1)
+    assert witness(lp_feasible(1, ge=[([1], 1)])) == (1,)
     assert lp_feasible(1, ge=[([1], 1), ([-1], 0)]) is None
     assert lp_feasible(2, eq=[([1, 1], 1)], nonneg=True) is not None
     assert lp_feasible(1, eq=[([0], 1)]) is None
@@ -164,11 +246,13 @@ def test_lp_feasible_trivial_cases():
 
 
 def test_lp_witness_satisfies_system():
-    w = lp_feasible(
+    X, D = lp_feasible(
         3,
         ge=[([1, 2, -1], 3), ([0, 1, 1], 2)],
         eq=[([1, 1, 1], 4)],
     )
+    assert all(type(v) is int for v in X) and type(D) is int and D > 0
+    w = witness((X, D))
     assert w is not None
     assert w[0] + 2 * w[1] - w[2] >= 3
     assert w[1] + w[2] >= 2
@@ -177,8 +261,8 @@ def test_lp_witness_satisfies_system():
 
 @pytest.mark.parametrize("nonneg", [False, True])
 def test_lp_empty_system_returns_the_zero_witness(nonneg):
-    assert lp_feasible(2, nonneg=nonneg) == (Fraction(0), Fraction(0))
-    assert lp_feasible(0, nonneg=nonneg) == ()
+    assert lp_feasible(2, nonneg=nonneg) == ([0, 0], 1)
+    assert lp_feasible(0, nonneg=nonneg) == ([], 1)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +330,7 @@ def _q(*rows):
 def test_integer_simplex_matches_the_fraction_tableau(system, nonneg):
     n, ge, eq = system
     expected = fraction_lp_feasible(n, ge, eq, nonneg)
-    assert lp_feasible(n, ge=ge, eq=eq, nonneg=nonneg) == expected
+    assert witness(lp_feasible(n, ge=ge, eq=eq, nonneg=nonneg)) == expected
 
 
 def test_integer_simplex_on_beales_cycling_example():
@@ -266,11 +350,11 @@ def test_integer_simplex_on_beales_cycling_example():
                              (Fraction(1, 19), False)):
         rows = ge + [(objective, target)]
         for nonneg, system in ((True, rows), (False, rows + bounds)):
-            w = lp_feasible(4, ge=system, nonneg=nonneg)
+            w = witness(lp_feasible(4, ge=system, nonneg=nonneg))
             assert w == fraction_lp_feasible(4, system, (), nonneg)
             assert (w is not None) == feasible
-    optimum = lp_feasible(4, ge=ge + [(objective, Fraction(1, 20))],
-                          nonneg=True)
+    optimum = witness(lp_feasible(4, ge=ge + [(objective, Fraction(1, 20))],
+                                  nonneg=True))
     assert optimum == (Fraction(1, 25), 0, 1, 0)
 
 
@@ -294,7 +378,7 @@ def test_cone_report_lps_match_the_fraction_tableau(capsys, monkeypatch):
     capsys.readouterr()
     assert len(calls) > 100
     for n_vars, ge, eq, nonneg, w in calls:
-        assert w == fraction_lp_feasible(n_vars, ge, eq, nonneg)
+        assert witness(w) == fraction_lp_feasible(n_vars, ge, eq, nonneg)
 
 
 def test_member_examples():
@@ -343,12 +427,12 @@ def test_span_dimension_examples():
 
 
 def test_ray_and_cone_equality_ignore_weight():
-    r = canonicalize(ClassVector(18, (Fraction(2), Fraction(-1))))
-    assert r.weight == 18
+    r = Ray((Fraction(4), Fraction(-2)), 18)
+    assert r.weight == 18 and r.key == (2, -1)
     assert r == Ray(r.canonical) and hash(r) == hash(Ray(r.canonical))
     assert r != Ray(r.canonical[::-1], 18)
     assert len({r, Ray(r.canonical, 26)}) == 1
-    assert repr(r) == f"Ray(canonical={r.canonical!r}, weight=18)"
+    assert repr(r) == "Ray(key=(2, -1), weight=18)"
     c = cone_of((1, 0), (0, 1))
     tagged = Cone(c.generators, 18)
     assert c == tagged and hash(c) == hash(tagged)
@@ -486,8 +570,8 @@ def test_accumulation_cone_pointed_with_evaluation_witness():
 def test_class_ray_converges_to_positive_axis_at_weight_0_mod_4():
     # non-physical weights flip the Eisenstein sign: limit is +e_0
     basis = miller_basis(16, 130)
-    ray = class_ray(primitive_heegner_class(128, 16), basis)
-    assert ray.canonical[0] == 1
+    r = Ray(coordinates(primitive_heegner_class(128, 16), basis).coords)
+    assert r.canonical[0] == 1
 
 
 def test_extremal_sweep_work_and_observed_extremal_set(monkeypatch):
