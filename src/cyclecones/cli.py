@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from .classes import eisenstein_identity_scan, weight_for_signature
@@ -133,10 +134,36 @@ def _cached_basis(args) -> MillerBasis:
     return basis
 
 
-def _print_csv(rows) -> None:
-    """Print rows as comma-separated lines.  No field holds a comma, a quote
-    or a line break, so none needs quoting."""
-    print("\n".join(",".join(map(str, row)) for row in rows))
+_BLOCK_LINES = 1024
+
+
+def _write_lines(lines) -> None:
+    """Write each string of lines and a line break to stdout, at most
+    1,024 strings per write call.  With PYTHONUNBUFFERED set, stdout is a
+    raw file and each write a system call, so one call per line would make
+    thousands; one string for the whole output would hold all of it in
+    memory, and again encoded.  sys.stdout is read at call time, so output
+    goes to whatever stdout is then (pytest's capsys replaces it)."""
+    write = sys.stdout.write
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        block.append("")  # the line break after the last line
+        write("\n".join(block))
+
+
+def _print_csv(header, rows) -> None:
+    """Print the header and rows as comma-separated lines.  No field holds
+    a comma, a quote or a line break, so none needs quoting."""
+    _write_lines(",".join(map(str, row)) for row in chain([header], rows))
+
+
+# One identities record as json.dumps(..., sort_keys=True, indent=2) lays
+# it out in the record list.  No field needs escaping: check is a literal,
+# equal a bool, m an int, and lhs and rhs match -?\d+/\d+.
+_RECORD = (
+    '    {\n      "check": "%s",\n      "equal": %s,\n      "lhs": "%s",\n'
+    '      "m": %d,\n      "rhs": "%s"\n    }'
+)
 
 
 def _frac_str(x) -> str:
@@ -151,11 +178,11 @@ def cmd_identities(args) -> int:
     first_failing = next((m for _, m, _, _, equal in rows if not equal), None)
     if args.format == "csv":
         _print_csv(
-            [["check", "m", "n", "lhs", "rhs", "equal"]]
-            + [
-                [check, m, args.n, lhs, rhs, "true" if equal else "false"]
+            ["check", "m", "n", "lhs", "rhs", "equal"],
+            (
+                (check, m, args.n, lhs, rhs, "true" if equal else "false")
                 for check, m, lhs, rhs, equal in rows
-            ]
+            ),
         )
     else:
         doc = {
@@ -163,13 +190,25 @@ def cmd_identities(args) -> int:
             "max_m": args.max_m,
             "n": args.n,
             "physical": args.physical,
-            "records": [
-                dict(check=check, equal=equal, lhs=lhs, m=m, rhs=rhs)
-                for check, m, lhs, rhs, equal in rows
-            ],
+            "records": [None] if rows else [],
             "weight": args.weight,
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        if not rows:
+            _write_lines([text])
+        else:
+            # the records go where the placeholder's line splits the dump
+            head, tail = text.split("\n    null\n")
+            records = (
+                _RECORD % (check, "true" if equal else "false", lhs, m, rhs)
+                for check, m, lhs, rhs, equal in rows
+            )
+            _write_lines(chain(
+                [head],
+                (r + "," for r in islice(records, len(rows) - 1)),
+                records,  # the last record, which takes no comma
+                [tail],
+            ))
     if first_failing is not None:
         _warn(f"identity check failed first at m = {first_failing}")
         return 1
@@ -186,11 +225,11 @@ def cmd_converge(args) -> int:
     )
     if args.format == "csv":
         _print_csv(
-            [["m", "distance_num", "distance_den", "distance_float"]]
-            + [
-                [m, dist.numerator, dist.denominator, repr(float(dist))]
+            ["m", "distance_num", "distance_den", "distance_float"],
+            (
+                (m, dist.numerator, dist.denominator, repr(float(dist)))
                 for m, dist in rows
-            ]
+            ),
         )
     else:
         doc = {

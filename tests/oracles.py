@@ -20,15 +20,18 @@ as a Fraction q-expansion and builds every side and comparison in
 Fractions.  The L-infinity ray distance has its Fraction version, which
 scales each ray to max |coordinate| = 1 and subtracts coordinate by
 coordinate, and a functional is applied to a form directly on its
-q-expansion.
+q-expansion.  The CLI's identities output has its former printing:
+the CSV as one print of the joined lines, the JSON as one
+json.dumps(sort_keys=True, indent=2) of the whole document.
 """
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
-from cyclecones.classes import FunctionalCombo
+from cyclecones.classes import FunctionalCombo, weight_for_signature
 from cyclecones.numtheory import (
     factorize,
     moebius,
@@ -391,6 +394,41 @@ def fraction_identity_scan(n, max_m):
             rhs *= 1 + Fraction(1, p**s)
         out.append(("primitive", m, lhs, rhs, lhs == rhs))
     return out
+
+
+def print_csv_text(rows) -> str:
+    """What the former ``cli._print_csv(rows)`` printed: every row joined
+    by commas, the lines joined in memory and printed at once."""
+    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+
+
+def identities_csv_text(n, rows) -> str:
+    """The former ``identities`` CSV for scan rows (check, m, lhs, rhs,
+    equal) at signature n."""
+    return print_csv_text(
+        [["check", "m", "n", "lhs", "rhs", "equal"]]
+        + [
+            [check, m, n, lhs, rhs, "true" if equal else "false"]
+            for check, m, lhs, rhs, equal in rows
+        ]
+    )
+
+
+def identities_json_text(n, max_m, rows) -> str:
+    """The former ``identities --format json`` output for scan rows at
+    signature n: the whole document through one json.dumps, printed."""
+    doc = {
+        "all_equal": all(equal for *_, equal in rows),
+        "max_m": max_m,
+        "n": n,
+        "physical": n % 8 == 2,
+        "records": [
+            dict(check=check, equal=equal, lhs=lhs, m=m, rhs=rhs)
+            for check, m, lhs, rhs, equal in rows
+        ],
+        "weight": weight_for_signature(n),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def int_product(a, b):

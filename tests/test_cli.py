@@ -1,15 +1,20 @@
 import errno
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import SRC
 from cyclecones import classes, cli, cones
+from cyclecones.classes import eisenstein_identity_scan
 from cyclecones.cli import main
+from oracles import identities_csv_text, identities_json_text, print_csv_text
 
 
 def run(capsys, *argv):
@@ -61,8 +66,10 @@ def test_identities_report_a_failed_check(capsys, monkeypatch):
         return sums
 
     monkeypatch.setattr(classes, "_divisor_sums", wrong_c4)
+    scan = eisenstein_identity_scan(10, 6)
     code, out, err = run(capsys, "identities", "--n", "10", "--max-m", "6")
     assert code == 1
+    assert out == identities_csv_text(10, scan)
     assert err.strip().splitlines()[-1] == "identity check failed first at m = 4"
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [(r[0], r[1], r[-1]) for r in rows if r[-1] != "true"] == [
@@ -74,6 +81,7 @@ def test_identities_report_a_failed_check(capsys, monkeypatch):
         capsys, "identities", "--n", "10", "--max-m", "6", "--format", "json"
     )
     assert code == 1
+    assert out == identities_json_text(10, 6, scan)
     assert err.strip().splitlines()[-1] == "identity check failed first at m = 4"
     doc = json.loads(out)
     assert doc["all_equal"] is False
@@ -117,6 +125,107 @@ def test_identities_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "identities", "--weight", "7", "--max-m", "2")
     assert code == 2
+
+
+class CountingSink(io.TextIOBase):
+    """A stdout that counts write calls and characters; with keep=True it
+    also keeps the text."""
+
+    def __init__(self, keep=False):
+        self.calls = self.chars = 0
+        self.parts = [] if keep else None
+
+    def write(self, text):
+        self.calls += 1
+        self.chars += len(text)
+        if self.parts is not None:
+            self.parts.append(text)
+        return len(text)
+
+    def text(self):
+        return "".join(self.parts)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2048, 3000])
+def test_write_lines_sends_at_most_1024_lines_per_call(monkeypatch, count):
+    lines = [f"line {i}" for i in range(count)]
+    sink = CountingSink(keep=True)
+    monkeypatch.setattr(sys, "stdout", sink)
+    cli._write_lines(iter(lines))
+    assert sink.text() == "".join(line + "\n" for line in lines)
+    assert sink.calls == math.ceil(count / 1024)
+    assert all(part.count("\n") <= 1024 for part in sink.parts)
+
+
+# 2 max_m records: 0 is the empty list, 511 to 513 straddle the 1,024-line
+# blocks; n = 22 is non-physical
+@pytest.mark.parametrize("n", [10, 22, 50])
+@pytest.mark.parametrize("max_m", [0, 1, 511, 512, 513, 3001])
+def test_identities_output_is_the_former_printing(capsys, n, max_m):
+    rows = eisenstein_identity_scan(n, max_m)
+    argv = ("identities", "--n", str(n), "--max-m", str(max_m))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == identities_csv_text(n, rows)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == identities_json_text(n, max_m, rows)
+
+
+@pytest.mark.parametrize("max_m", [0, 1, 1023, 1024])
+def test_converge_csv_is_the_former_printing(capsys, max_m):
+    code, out, _ = run(capsys, "converge", "--n", "34", "--max-m", str(max_m))
+    assert code == 0
+    assert out == print_csv_text(
+        [["m", "distance_num", "distance_den", "distance_float"]]
+        + [
+            [m, d.numerator, d.denominator, repr(float(d))]
+            for m, d in cones.convergence_scan(18, range(1, max_m + 1))
+        ]
+    )
+
+
+def test_identities_json_is_written_in_blocks(monkeypatch):
+    # a writer of one record per call would make about 6,000 calls; under
+    # PYTHONUNBUFFERED each call is a system call
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = main(
+        ["identities", "--n", "18", "--max-m", "3001", "--format", "json"]
+    )
+    assert code == 0
+    records = 2 * 3001
+    assert sink.calls <= math.ceil(records / 1024) + 2
+    assert sink.chars == len(
+        identities_json_text(18, 3001, eisenstein_identity_scan(18, 3001))
+    )
+
+
+def _traced(function, *args):
+    """Size of what function(*args) leaves allocated and its peak, both
+    in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        kept = function(*args)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return size, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ("identities", "--n", "18", "--max-m", "3001", "--format", "json"),
+    ("identities", "--n", "42", "--max-m", "1999"),
+])
+def test_identities_output_needs_less_than_the_rows_again(monkeypatch, argv):
+    # one json.dumps of the whole document peaked at 5.9 times the rows,
+    # printing the CSV from one joined string at 2.7 times
+    n, max_m = int(argv[2]), int(argv[4])
+    rows_size, _ = _traced(eisenstein_identity_scan, n, max_m)
+    monkeypatch.setattr(sys, "stdout", CountingSink())
+    _, peak = _traced(main, list(argv))
+    assert peak < 2 * rows_size
 
 
 def test_converge_empty_table(capsys):
@@ -329,6 +438,30 @@ def test_closed_stdout_exits_141_quietly():
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=300) == 141
+    # the JSON is about 1 MB, and any of its block writes may meet the
+    # closed end
+    with _cli_process(*argv, "--format", "json", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=300) == 141
+
+
+def test_unbuffered_stdout_gets_every_byte():
+    # under PYTHONUNBUFFERED stdout is a raw file: each block is one write
+    argv = ("identities", "--n", "18", "--max-m", "600", "--format", "json")
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclecones.cli", *argv],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == identities_json_text(
+        18, 600, eisenstein_identity_scan(18, 600)
+    )
 
 
 def test_stdout_closed_before_a_short_output_exits_141_quietly():
