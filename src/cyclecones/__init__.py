@@ -48,7 +48,6 @@ from .lattice import (
     vector_of_norm,
 )
 from .numtheory import (
-    Factorization,
     bernoulli,
     factorize,
     moebius,

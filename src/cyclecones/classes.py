@@ -13,8 +13,9 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .numtheory import (
-    Factorization,
+    _exact,
     _Record,
+    _sigma,
     factorize,
     square_divisors,
     zeta_negative,
@@ -47,11 +48,6 @@ def weight_for_signature(n: int) -> int:
     return 1 + n // 2
 
 
-def _exact(c) -> int | Fraction:
-    """c itself when it is an int or a Fraction, else Fraction(c)."""
-    return c if type(c) is int or type(c) is Fraction else Fraction(c)
-
-
 class FunctionalCombo(_Record):
     """Finite combination sum_m a_m c_m of coefficient functionals.
 
@@ -65,13 +61,14 @@ class FunctionalCombo(_Record):
     def __init__(
         self, weight: int, terms: tuple[tuple[int, int | Fraction], ...]
     ) -> None:
-        cleaned = tuple((m, _exact(a)) for m, a in sorted(terms) if a != 0)
-        if any(m < 0 for m, _ in cleaned):
+        terms = sorted(t for t in terms if t[1] != 0)
+        indices = [m for m, _ in terms]
+        if any(m < 0 for m in indices):
             raise ValueError("functional indices must be >= 0")
-        if len({m for m, _ in cleaned}) != len(cleaned):
+        if len(set(indices)) != len(indices):
             raise ValueError("duplicate functional indices")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "terms", cleaned)
+        coeffs = _exact(a for _, a in terms)
+        super().__init__(weight, tuple(zip(indices, coeffs)))
 
     def max_index(self) -> int:
         return self.terms[-1][0] if self.terms else 0
@@ -97,8 +94,7 @@ class ClassVector(_Record):
     def __init__(
         self, weight: int | None, coords: tuple[int | Fraction, ...]
     ) -> None:
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "coords", tuple(map(_exact, coords)))
+        super().__init__(weight, _exact(coords))
 
     @property
     def dimension(self) -> int:
@@ -127,14 +123,15 @@ def primitive_heegner_class(m: int, k: int) -> FunctionalCombo:
     return FunctionalCombo(k, tuple(_primitive_terms(m, factorize(m))))
 
 
-def _primitive_terms(m: int, f: Factorization) -> list[tuple[int, int]]:
-    """The pairs (m/t^2, mu(t)) of P_m with mu(t) != 0, m factored as f.
+def _primitive_terms(m: int, pairs) -> list[tuple[int, int]]:
+    """The pairs (m/t^2, mu(t)) of P_m with mu(t) != 0, m factored as
+    pairs.
 
     Those t are the squarefree products of primes p with p^2 | m, so each
     such prime doubles the list: t keeps or takes p, and mu flips sign.
     """
     terms = [(m, 1)]
-    for p, e in f.pairs:
+    for p, e in pairs:
         if e > 1:
             terms += [(i // (p * p), -mu) for i, mu in terms]
     return terms
@@ -177,31 +174,25 @@ class IdentityReport(_Record):
 
     __slots__ = ("m", "n", "lhs", "rhs")
 
-    def __init__(self, m: int, n: int, lhs: Fraction, rhs: Fraction) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
 
-def _identity_sides(m: int, s: int, f: Factorization, coeffs):
+def _identity_sides(m: int, s: int, pairs, coeffs):
     """(q-expansion side, closed-form side) of the coefficient and the
-    primitive check at m, m factored as f and s = n/2, before scaling:
+    primitive check at m, m factored as pairs and s = n/2, before scaling:
     coeffs[m] against sigma_s(m), and sum_{t^2 | m} mu(t) coeffs[m/t^2]
     against the integer prod_{p^e || m} p^(s(e-1)) (p^s + 1), which is
     m^s prod_{p | m} (1 + p^-s).  For coeffs[i] = sigma_{k-1}(i) the
     scales are F = -2k/B_k (E_k's) and G = 2/zeta(-s) (the closed forms').
     """
     euler = 1
-    for p, e in f.pairs:
+    for p, e in pairs:
         q = p**s
         euler *= q ** (e - 1) * (q + 1)
-    primitive = sum(mu * coeffs[i] for i, mu in _primitive_terms(m, f))
-    return (coeffs[m], f.sigma(s)), (primitive, euler)
+    primitive = sum(mu * coeffs[i] for i, mu in _primitive_terms(m, pairs))
+    return (coeffs[m], _sigma(pairs, s)), (primitive, euler)
 
 
 def _identity_report(

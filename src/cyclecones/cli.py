@@ -3,8 +3,9 @@ reports, and lattice utilities, with deterministic machine-readable output.
 
 All pass/fail decisions are exact; floats appear only in display columns.
 Exit codes: 0 success, 1 an exact check failed, 2 usage or input error,
-or a cache file that cannot be read or written, 141 (128 + SIGPIPE) when
-the reader closes stdout early, with nothing on stderr.
+a size too large to allocate, or a cache file that cannot be read or
+written, 141 (128 + SIGPIPE) when the reader closes stdout early, with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from .classes import eisenstein_identity_scan, weight_for_signature
 from .cones import (
+    Cone,
     NotPointedError,
     Ray,
     _extremal_sweep,
@@ -258,7 +260,8 @@ def cmd_cone(args) -> int:
     basis = _cached_basis(args)
     cone = accumulation_cone_model(args.weight, args.max_m, basis)
     half_m = max(1, args.max_m // 2)
-    half_cone = accumulation_cone_model(args.weight, half_m, basis)
+    # the generators are omega, then P_1 .. P_max_m: the half cone's prefix
+    half_cone = Cone(cone.generators[:half_m + 1], args.weight)
     doc = {
         "dim": span_dimension(cone),
         "expected_dim": dim_mk(args.weight),
@@ -318,9 +321,9 @@ def cmd_lattice(args) -> int:
         doc = {
             "det": _frac_str(t.determinant()),
             "doubled": True,
-            "reduced_rows": [list(row) for row in reduced.doubled],
-            "rows": [list(row) for row in t.doubled],
-            "u": [list(row) for row in u],
+            "reduced_rows": reduced.doubled,
+            "rows": t.doubled,
+            "u": u,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
@@ -336,7 +339,7 @@ def cmd_lattice(args) -> int:
             "doubled": True,
             "norms": [t.doubled[i][i] // 2 for i in range(t.dimension)],
             "positive_definite": is_positive_definite(t),
-            "rows": [list(row) for row in t.doubled],
+            "rows": t.doubled,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
@@ -349,10 +352,10 @@ def cmd_lattice(args) -> int:
             {
                 "det": _frac_str(e.determinant),
                 "j": e.j,
-                "moment_doubled": [list(r) for r in e.moment.doubled],
+                "moment_doubled": e.moment.doubled,
                 "moment_is_expected_diagonal": e.moment_is_expected_diagonal,
                 "span_matches_base": e.span_matches_base,
-                "vectors": [list(v) for v in e.vectors],
+                "vectors": e.vectors,
             }
             for e in entries
         ],
@@ -454,7 +457,7 @@ def main(argv=None) -> int:
         # os.devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the status of a writer SIGPIPE ends
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, OverflowError) as exc:
         _warn(f"error: {exc}")
         return 2
 

@@ -72,8 +72,7 @@ class Ray(_Record, compare=("key",)):
     def __init__(self, coords, weight: int | None = None) -> None:
         if not any(coords):
             raise ValueError("the zero vector spans no ray")
-        object.__setattr__(self, "key", _ray_key(coords))
-        object.__setattr__(self, "weight", weight)
+        super().__init__(_ray_key(coords), weight)
 
     @property
     def canonical(self) -> tuple[Fraction, ...]:
@@ -100,8 +99,7 @@ class Cone(_Record, compare=("generators",)):
             raise ValueError("generators must share one dimension")
         if any(g.is_zero() for g in generators):
             raise ValueError("zero generators are not allowed")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "weight", weight)
+        super().__init__(generators, weight)
 
     @property
     def dimension(self) -> int:

@@ -61,16 +61,8 @@ class EvenLattice(_Record):
     def __init__(
         self, gram: tuple[tuple[int, ...], ...], signature: tuple[int, int]
     ) -> None:
-        g = gram
-        n = len(g)
-        if any(len(row) != n for row in g):
-            raise ValueError("gram matrix must be square")
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("gram matrix must be symmetric")
-        if any(g[i][i] % 2 for i in range(n)):
-            raise ValueError("even lattice needs even diagonal")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "signature", signature)
+        HalfIntegralMatrix(gram)  # square, symmetric, even diagonal
+        super().__init__(gram, signature)
 
     @property
     def rank(self) -> int:
@@ -128,7 +120,7 @@ class HalfIntegralMatrix(_Record):
             raise ValueError("matrix must be symmetric")
         if any(m[i][i] % 2 for i in range(d)):
             raise ValueError("diagonal of T must be integral (doubled even)")
-        object.__setattr__(self, "doubled", doubled)
+        super().__init__(doubled)
 
     @property
     def dimension(self) -> int:
@@ -252,24 +244,6 @@ class FamilyEntry(_Record):
     __slots__ = ("j", "vectors", "moment", "determinant",
                  "moment_is_expected_diagonal", "span_matches_base")
 
-    def __init__(
-        self,
-        j: int,
-        vectors: tuple[tuple[int, ...], tuple[int, ...]],
-        moment: HalfIntegralMatrix,
-        determinant: Fraction,
-        moment_is_expected_diagonal: bool,
-        span_matches_base: bool,
-    ) -> None:
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "moment", moment)
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(
-            self, "moment_is_expected_diagonal", moment_is_expected_diagonal
-        )
-        object.__setattr__(self, "span_matches_base", span_matches_base)
-
 
 def common_component_family(
     lattice: EvenLattice, m: int, j_max: int
@@ -301,16 +275,9 @@ def common_component_family(
         )
         out.append(
             FamilyEntry(
-                j=j,
-                vectors=(scaled, lam2),
-                moment=moment,
-                determinant=moment.determinant(),
-                moment_is_expected_diagonal=(moment == expected),
-                span_matches_base=(
-                    rank([scaled, lam2])
-                    == rank([lam1, lam2, scaled])
-                    == base_rank
-                ),
+                j, (scaled, lam2), moment, moment.determinant(),
+                moment == expected,
+                rank([scaled, lam2]) == rank([lam1, lam2, scaled]) == base_rank,
             )
         )
     return out
@@ -328,9 +295,9 @@ def lattice_determinant(lattice: EvenLattice) -> int:
 def gram_to_json(lattice: EvenLattice) -> str:
     return json.dumps(
         {
-            "gram": [list(row) for row in lattice.gram],
+            "gram": lattice.gram,
             "rank": lattice.rank,
-            "signature": list(lattice.signature),
+            "signature": lattice.signature,
         },
         sort_keys=True,
     )

@@ -9,8 +9,9 @@ rational rows and scales each to integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+
+from .numtheory import _exact
 
 __all__ = ["rank", "det", "gram_signature"]
 
@@ -43,7 +44,7 @@ def _echelon(rows) -> list[tuple[int, list[int]]]:
 def rank(rows) -> int:
     """Rank of a rational matrix, without building a Fraction for int rows."""
     def scaled(row):
-        row = [x if type(x) is int else Fraction(x) for x in row]
+        row = _exact(row)
         den = lcm(*(x.denominator for x in row))
         return [x.numerator * (den // x.denominator) for x in row]
 

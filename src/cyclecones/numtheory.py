@@ -12,7 +12,6 @@ from math import comb, isqrt
 from operator import attrgetter
 
 __all__ = [
-    "Factorization",
     "bernoulli",
     "zeta_negative",
     "sigma",
@@ -26,13 +25,14 @@ __all__ = [
 class _Record:
     """Base of the package's value classes.
 
-    A subclass lists its fields in ``__slots__`` and sets them in
-    ``__init__`` with ``object.__setattr__``; afterwards assigning to or
-    deleting a field raises ``AttributeError``.  ``==`` and ``hash()`` see
-    the fields named by the class keyword ``compare`` (all fields by
-    default), and ``repr`` shows every field.  ``copy`` and ``pickle``
-    rebuild an instance through ``__init__``, since its fields cannot be
-    assigned.
+    A subclass lists its fields in ``__slots__``; the constructor takes
+    them positionally in that order, and a subclass that checks or
+    normalizes its input ends its ``__init__`` in ``super().__init__``.
+    Afterwards assigning to or deleting a field raises ``AttributeError``.
+    ``==`` and ``hash()`` see the fields named by the class keyword
+    ``compare`` (all fields by default), and ``repr`` shows every field.
+    ``copy`` and ``pickle`` rebuild an instance through ``__init__``, since
+    its fields cannot be assigned.
     """
 
     __slots__ = ()
@@ -42,6 +42,16 @@ class _Record:
         # an attrgetter is not a descriptor, so it is called as
         # self._key(obj); with one field it returns the field itself
         cls._key = attrgetter(*(compare or cls.__slots__))
+
+    def __init__(self, *values):
+        fields = self.__slots__
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(fields)} fields, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -65,38 +75,18 @@ class _Record:
         return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
 
 
-class Factorization(_Record):
-    """Prime factorization of a positive integer as (prime, exponent) pairs.
-
-    Primes are strictly increasing and exponents >= 1; the empty tuple
-    represents ``1``.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        primes = [p for p, _ in pairs]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in pairs):
-            raise ValueError("exponents must be >= 1")
-        object.__setattr__(self, "pairs", pairs)
-
-    def sigma(self, s: int) -> int:
-        """Sum of the s-th powers of the divisors, by the multiplicative
-        formula prod_p (p^(s(e+1)) - 1) / (p^s - 1)."""
-        total = 1
-        for p, e in self.pairs:
-            if s == 0:
-                total *= e + 1
-            else:
-                q = p**s
-                total *= (q ** (e + 1) - 1) // (q - 1)
-        return total
+def _exact(values) -> tuple[int | Fraction, ...]:
+    """The values as a tuple, an int or a Fraction kept as given and any
+    other value converted by Fraction."""
+    return tuple(
+        c if type(c) is int or type(c) is Fraction else Fraction(c)
+        for c in values
+    )
 
 
-def factorize(m: int) -> Factorization:
-    """Factor m >= 1 by trial division.
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Factor m >= 1 by trial division into (prime, exponent) pairs, the
+    primes strictly increasing and the exponents >= 1; 1 gives ().
 
     Intended for desk scale (m up to about 10**7); larger inputs work but
     get slow, and there is deliberately no probabilistic fallback.
@@ -115,7 +105,20 @@ def factorize(m: int) -> Factorization:
             break
     if m > 1:
         pairs.append((m, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
+
+
+def _sigma(pairs, s: int) -> int:
+    """Sum of the s-th powers of the divisors of the number factored as
+    pairs, by the multiplicative formula prod_p (p^(s(e+1)) - 1) / (p^s - 1)."""
+    total = 1
+    for p, e in pairs:
+        if s == 0:
+            total *= e + 1
+        else:
+            q = p**s
+            total *= (q ** (e + 1) - 1) // (q - 1)
+    return total
 
 
 def _trial_divisors(m):
@@ -159,17 +162,17 @@ def sigma(s: int, m: int) -> int:
     """Sum of the s-th powers of the positive divisors of m, exactly."""
     if m < 1:
         raise ValueError(f"sigma requires m >= 1, got {m}")
-    return factorize(m).sigma(s)
+    return _sigma(factorize(m), s)
 
 
 def moebius(t: int) -> int:
     """Möbius function of t >= 1."""
     if t < 1:
         raise ValueError(f"moebius requires t >= 1, got {t}")
-    f = factorize(t)
-    if any(e > 1 for _, e in f.pairs):
+    pairs = factorize(t)
+    if any(e > 1 for _, e in pairs):
         return 0
-    return -1 if len(f.pairs) % 2 else 1
+    return -1 if len(pairs) % 2 else 1
 
 
 def square_divisors(m: int) -> list[int]:

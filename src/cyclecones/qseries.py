@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numtheory import _Record, bernoulli
+from .numtheory import _exact, _Record, bernoulli
 
 __all__ = [
     "QSeries",
@@ -40,12 +40,7 @@ class QSeries(_Record):
     ) -> None:
         if len(coefficients) < 1:
             raise ValueError("a QSeries needs at least one coefficient")
-        object.__setattr__(self, "weight", weight)
-        coefficients = tuple(
-            c if type(c) is int or type(c) is Fraction else Fraction(c)
-            for c in coefficients
-        )
-        object.__setattr__(self, "coefficients", coefficients)
+        super().__init__(weight, _exact(coefficients))
 
     @property
     def precision(self) -> int:
@@ -120,10 +115,6 @@ class MillerBasis(_Record):
     """Echelon basis f_0 .. f_{d-1} of weight-k forms: f_i = q^i + O(q^d)."""
 
     __slots__ = ("weight", "basis")
-
-    def __init__(self, weight: int, basis: tuple[QSeries, ...]) -> None:
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "basis", basis)
 
     @property
     def dimension(self) -> int:

@@ -35,6 +35,7 @@ from cyclecones.classes import FunctionalCombo, weight_for_signature
 from cyclecones.numtheory import (
     factorize,
     moebius,
+    sigma,
     square_divisors,
     zeta_negative,
 )
@@ -385,12 +386,11 @@ def fraction_identity_scan(n, max_m):
     zeta = zeta_negative(s)
     out = []
     for m in range(1, max_m + 1):
-        f = factorize(m)
-        lhs, rhs = coeffs[m], 2 * f.sigma(s) / zeta
+        lhs, rhs = coeffs[m], 2 * sigma(s, m) / zeta
         out.append(("coefficient", m, lhs, rhs, lhs == rhs))
         lhs = sum(moebius(t) * coeffs[m // (t * t)] for t in square_divisors(m))
         rhs = Fraction(2 * m**s) / zeta
-        for p, _ in f.pairs:
+        for p, _ in factorize(m):
             rhs *= 1 + Fraction(1, p**s)
         out.append(("primitive", m, lhs, rhs, lhs == rhs))
     return out

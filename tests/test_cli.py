@@ -127,6 +127,18 @@ def test_identities_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("identities", "--n", "10", "--max-m", str(10**21)),
+    ("converge", "--n", "10", "--max-m", str(10**21)),
+    ("cone", "--n", "10", "--max-m", "3", "--precision", str(10**21)),
+])
+def test_size_too_large_to_allocate_exits_2(capsys, argv):
+    # a list of that length cannot be asked for: it fails before allocating
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class CountingSink(io.TextIOBase):
     """A stdout that counts write calls and characters; with keep=True it
     also keeps the text."""

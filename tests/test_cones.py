@@ -541,6 +541,18 @@ def test_accumulation_cone_small():
     assert extremal_rays(cone6) == {Ray((Fraction(-1),))}
 
 
+@pytest.mark.parametrize("k, max_m", [(6, 1), (18, 1), (18, 2), (18, 9), (34, 40)])
+def test_half_cone_is_a_prefix_of_the_cone(k, max_m):
+    # the cone report takes its half cone as this prefix
+    basis = miller_basis(k, max(max_m + 1, dim_mk(k)))
+    cone = accumulation_cone_model(k, max_m, basis)
+    half_m = max(1, max_m // 2)
+    half = accumulation_cone_model(k, half_m, basis)
+    prefix = Cone(cone.generators[:half_m + 1], k)
+    assert prefix.generators == half.generators
+    assert prefix.weight == half.weight == k
+
+
 def test_accumulation_cone_rank_stabilizes():
     basis = miller_basis(34, 40)
     d = dim_mk(34)

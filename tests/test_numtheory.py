@@ -1,12 +1,16 @@
 import copy
+import importlib
+import inspect
 import math
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclecones
 from cyclecones.classes import ClassVector, IdentityReport, heegner_class
 from cyclecones.cones import Cone, Ray
 from cyclecones.lattice import (
@@ -15,7 +19,7 @@ from cyclecones.lattice import (
     common_component_family,
 )
 from cyclecones.numtheory import (
-    Factorization,
+    _Record,
     bernoulli,
     divisors,
     factorize,
@@ -105,17 +109,21 @@ def test_square_divisors_bruteforce():
 
 
 def test_factorize_examples():
-    assert factorize(1).pairs == ()
-    assert factorize(12).pairs == ((2, 2), (3, 1))
-    assert factorize(97).pairs == ((97, 1),)
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(97) == ((97, 1),)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**6))
 def test_factorize_reconstructs(m):
-    f = factorize(m)
-    assert math.prod(p**e for p, e in f.pairs) == m
-    primes = [p for p, _ in f.pairs]
+    pairs = factorize(m)
+    assert type(pairs) is tuple
+    for pair in pairs:
+        assert type(pair) is tuple and list(map(type, pair)) == [int, int]
+        assert pair[1] >= 1
+    assert math.prod(p**e for p, e in pairs) == m
+    primes = [p for p, _ in pairs]
     assert primes == sorted(set(primes))
 
 
@@ -145,11 +153,10 @@ def test_moebius_against_sympy(sympy):
 
 def test_factorize_against_sympy(sympy):
     for m in list(range(1, 2001)) + [2**31 - 1, 600851475143, 10**7 + 19]:
-        assert dict(factorize(m).pairs) == sympy.factorint(m), m
+        assert dict(factorize(m)) == sympy.factorint(m), m
 
 
 FROZEN = [
-    Factorization(((2, 1), (3, 2))),
     QSeries(6, (1, -504)),
     MillerBasis(6, (QSeries(6, (1, -504)),)),
     heegner_class(2, 6),
@@ -179,3 +186,40 @@ def test_value_classes_are_frozen(value):
     assert hash(copy.copy(value)) == hash(value)
     shown = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
     assert repr(value) == f"{type(value).__name__}({shown})"
+
+
+def _record_classes():
+    """Every _Record subclass defined in a module of the package."""
+    for info in pkgutil.iter_modules(cyclecones.__path__):
+        importlib.import_module(f"cyclecones.{info.name}")
+    found, todo = [], [_Record]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("cyclecones."):
+                found.append(sub)
+    return found
+
+
+def test_every_record_class_is_checked_frozen():
+    checked = {type(v) for v in FROZEN}
+    missing = [c.__qualname__ for c in _record_classes() if c not in checked]
+    assert not missing
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=lambda v: type(v).__name__)
+def test_record_takes_its_fields_exactly(value):
+    cls = type(value)
+    fields = [getattr(value, f) for f in cls.__slots__]
+    assert cls(*fields) == value
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    # fields with a default (a Ray's or a Cone's weight) may be left out
+    params = inspect.signature(cls).parameters.values()
+    if any(p.kind is p.VAR_POSITIONAL for p in params):
+        required = len(fields)
+    else:
+        required = sum(p.default is p.empty for p in params)
+    with pytest.raises(TypeError):
+        cls(*fields[:required - 1])
