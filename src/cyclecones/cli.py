@@ -457,8 +457,9 @@ def main(argv=None) -> int:
         # os.devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the status of a writer SIGPIPE ends
-    except (UsageError, ValueError, OSError, OverflowError) as exc:
-        _warn(f"error: {exc}")
+    except (UsageError, ValueError, OSError, OverflowError,
+            MemoryError) as exc:
+        _warn(f"error: {str(exc) or type(exc).__name__}")
         return 2
 
 

@@ -4,8 +4,10 @@ Rays are oriented (positive scaling only).  A ray is stored as its
 primitive integer vector; its canonical representative, normalized so the
 largest absolute coordinate is 1, is built only for printing.  Cone
 questions (pointedness, membership, extremality) are decided by an exact
-simplex with Bland's rule on integer rows; no floating point enters any
-decision.
+simplex with Bland's rule on integer rows, in the one LP form
+{x >= 0 : A x = b}.  Every answer is checked in ints: a feasible one by
+its witness, an infeasible one by its Farkas certificate.  No floating
+point enters any decision.
 """
 
 from __future__ import annotations
@@ -194,8 +196,10 @@ def accumulation_cone_model(
 def _phase1(A, b, den, n):
     """Feasibility of {x >= 0 : (A[i] . x) / den[i] == b[i] / den[i]}.
 
-    A (n columns) and b hold ints, den positive ints.  Returns None or
-    (X, D) with ints X and D > 0, the witness being X / D.
+    A (n columns) and b hold ints, den positive ints.  Returns (True,
+    (X, D)) with ints X and D > 0, the witness being X / D, or (False, Y)
+    with ints Y, a Farkas certificate on the integer rows: Y . A[:, j] <= 0
+    for every column j and Y . b > 0.
 
     Dense Phase-I simplex: one artificial variable per row, minimize their
     sum, Bland's rule for both entering and leaving choices (no cycling).
@@ -209,23 +213,28 @@ def _phase1(A, b, den, n):
     weight the artificial sum by den and can end at another vertex.  The
     canonical tableau at a basis is unique, so the pivots and the witness
     are those of the rational tableau.
+
+    The reduced-cost row ends in its positive multiple mu of the cost
+    vector: it is mu*c - sum_i z_i*T_i over the starting rows T_i, so
+    red[n+i] = mu - z_i*den[i].  At an optimum with a positive artificial
+    sum, z with the start's sign flips is the certificate (Farkas 1902).
     """
     m = len(A)
     total = n + m
+    signs = [-1 if x < 0 else 1 for x in b]
     rows = []
-    for i in range(m):
-        sign = -1 if b[i] < 0 else 1
+    for i, sign in enumerate(signs):
         art = [0] * m
         art[i] = den[i]
         rows.append([sign * x for x in A[i]] + art + [sign * b[i]])
     basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the artificial sum, times lcm(den) > 0
+    # reduced costs of the artificial sum, times lcm(den) > 0, then mu
     scale = lcm(*den)
     red = [0] * n + [scale] * m + [0]
     for i, row in enumerate(rows):
         f = scale // den[i]
         red = [x - f * y for x, y in zip(red, row)]
-    red = _primitive(red)
+    red = _primitive(red + [scale])
 
     while True:
         enter = next((j for j in range(total) if red[j] < 0), None)
@@ -253,18 +262,22 @@ def _phase1(A, b, den, n):
                     [p * x - f * y for x, y in zip(rows[i], prow)]
                 )
         f = red[enter]
-        red = _primitive([p * x - f * y for x, y in zip(red, prow)])
+        red = _primitive(
+            [p * x - f * y for x, y in zip(red, prow)] + [p * red[-1]]
+        )
         basis[leave] = enter
 
-    # every rhs is >= 0, so the artificial sum is 0 iff each term is
-    if any(rows[i][total] for i in range(m) if basis[i] >= n):
-        return None
+    # red[total] is minus the artificial sum, times a positive factor
+    if red[total] < 0:
+        mu = red[-1]
+        return False, [sign * (mu - red[n + i]) * (scale // den[i])
+                       for i, sign in enumerate(signs)]
     D = lcm(*(rows[i][j] for i, j in enumerate(basis) if j < n))
     X = [0] * n
     for i, j in enumerate(basis):
         if j < n:
             X[j] = rows[i][total] * (D // rows[i][j])
-    return X, D
+    return True, (X, D)
 
 
 def _integral(coef, rhs):
@@ -282,56 +295,43 @@ def _integral(coef, rhs):
     return ints[:-1], ints[-1], den
 
 
-def lp_feasible(n_vars: int, ge=(), eq=(), nonneg: bool = False):
-    """Exact feasibility of a rational linear system; (X, D) or None.
+def lp_feasible(n_vars: int, eq):
+    """Exact feasibility of {x >= 0 : coeffs . x == rhs for every row}.
 
-    ``ge`` rows are pairs (coefficients, rhs) meaning coeffs . x >= rhs,
-    ``eq`` rows mean coeffs . x == rhs.  Coefficients are ints or
-    Fractions; anything else (a float, say) raises TypeError.  Variables
-    are free unless ``nonneg`` is set.  A feasible system gives the
-    witness x = X / D as a list X of ints and an int D > 0, verified in
-    ints against every row before being handed back.
+    ``eq`` rows are pairs (coefficients, rhs) of ints or Fractions;
+    anything else (a float, say) raises TypeError.  Returns (True, (X, D))
+    with the witness x = X / D, ints X >= 0 and D > 0, or (False, Y) with
+    a Farkas certificate, one int per row: sum_i Y[i] * coeffs_i <= 0 in
+    every column and sum_i Y[i] * rhs_i > 0.  Either answer is verified in
+    ints first; one that does not check raises ArithmeticError.
     """
-    eq = [_integral(c, r) for c, r in eq]
-    ge = [_integral(c, r) for c, r in ge]
-    for coef, _, _ in eq + ge:
+    rows = [_integral(c, r) for c, r in eq]
+    for coef, _, _ in rows:
         if len(coef) != n_vars:
             raise ValueError(
                 f"row length {len(coef)} does not match {n_vars} variables"
             )
-    width = n_vars if nonneg else 2 * n_vars
-    n_slack = len(ge)
-
-    def expand(coef):
-        base = coef if nonneg else coef + [-c for c in coef]
-        return base + [0] * n_slack
-
-    A, b, den = [], [], []
-    for coef, rhs, s in eq:
-        A.append(expand(coef))
-        b.append(rhs)
-        den.append(s)
-    for i, (coef, rhs, s) in enumerate(ge):
-        row = expand(coef)
-        row[width + i] = -s  # the surplus column, scaled with its row
-        A.append(row)
-        b.append(rhs)
-        den.append(s)
-    sol = _phase1(A, b, den, width + n_slack)
-    if sol is None:
-        return None
-    X, D = sol
-    if nonneg:
-        x = X[:n_vars]
-    else:
-        x = [X[j] - X[n_vars + j] for j in range(n_vars)]
-    for i, (coef, rhs, _) in enumerate(eq):
-        if sum(c * v for c, v in zip(coef, x)) != rhs * D:
-            raise ArithmeticError(f"LP witness violates equality row {i}")
-    for i, (coef, rhs, _) in enumerate(ge):
-        if sum(c * v for c, v in zip(coef, x)) < rhs * D:
-            raise ArithmeticError(f"LP witness violates inequality row {i}")
-    return x, D
+    A = [coef for coef, _, _ in rows]
+    b = [rhs for _, rhs, _ in rows]
+    den = [s for _, _, s in rows]
+    feasible, answer = _phase1(A, b, den, n_vars)
+    if feasible:
+        X, D = answer
+        if len(X) != n_vars or D <= 0 or any(v < 0 for v in X):
+            raise ArithmeticError("LP witness is not a nonnegative point")
+        for i, (coef, rhs) in enumerate(zip(A, b)):
+            if sum(c * v for c, v in zip(coef, X)) != rhs * D:
+                raise ArithmeticError(f"LP witness violates row {i}")
+        return True, (X, D)
+    Y = answer
+    if (
+        len(Y) != len(A)
+        or sum(y * v for y, v in zip(Y, b)) <= 0
+        or any(sum(y * c for y, c in zip(Y, col)) > 0 for col in zip(*A))
+    ):
+        raise ArithmeticError("LP infeasibility certificate does not check")
+    # row i was scaled by den[i]: the certificate of the rows as given
+    return False, _primitive([y * s for y, s in zip(Y, den)])
 
 
 def member(v: ClassVector, cone: Cone) -> bool:
@@ -352,34 +352,32 @@ def _in_cone(v, gens) -> bool:
     if not gens:
         return False
     eq = [([g[i] for g in gens], v[i]) for i in range(len(v))]
-    return lp_feasible(len(gens), eq=eq, nonneg=True) is not None
+    return lp_feasible(len(gens), eq)[0]
 
 
 def is_pointed(cone: Cone) -> bool:
-    """Whether the cone contains no line.
-
-    Equivalent to the existence of a rational y with <y, g> >= 1 for every
-    generator g; decided through the exact LP on the other side of
-    Gordan's alternative (no nonzero nonnegative combination of the
-    generators vanishes), which has only dimension+1 rows.  Use
-    pointedness_witness for the separating functional itself.
-    """
-    if not cone.generators:
-        return True
-    d = cone.dimension
-    gens = cone.generators
-    eq = [([g.coords[i] for g in gens], 0) for i in range(d)]
-    eq.append(([1] * len(gens), 1))
-    return lp_feasible(len(gens), eq=eq, nonneg=True) is None
+    """Whether the cone contains no line, that is, whether
+    pointedness_witness finds a separating functional."""
+    return pointedness_witness(cone) is not None
 
 
 def pointedness_witness(cone: Cone):
-    """Rational y with <y, g> >= 1 for all generators, or None."""
-    if not cone.generators:
+    """Rational y with <y, g> >= 1 for all generators, or None.
+
+    Decided through the exact LP on the other side of Gordan's
+    alternative, which has only dimension+1 rows: some nonnegative
+    combination of the generators with weights summing to 1 vanishes.
+    When it does not, the LP's checked Farkas certificate Y has
+    Y[:d] . g + Y[d] <= 0 for every generator g and Y[d] > 0, so
+    y = -Y[:d] / Y[d].
+    """
+    gens = cone.generators
+    if not gens:
         return ()
-    ge = [(list(g.coords), 1) for g in cone.generators]
-    sol = lp_feasible(cone.dimension, ge=ge)
-    return None if sol is None else tuple(Fraction(x, sol[1]) for x in sol[0])
+    eq = [([g.coords[i] for g in gens], 0) for i in range(cone.dimension)]
+    eq.append(([1] * len(gens), 1))
+    feasible, Y = lp_feasible(len(gens), eq)
+    return None if feasible else tuple(Fraction(-v, Y[-1]) for v in Y[:-1])
 
 
 def extremal_generators(cone: Cone) -> list[int]:

@@ -285,31 +285,43 @@ def fraction_phase1(A, b):
     return x
 
 
-def fraction_lp_feasible(n_vars, ge=(), eq=(), nonneg=False):
-    """``lp_feasible``'s standard form solved by ``fraction_phase1``.
+def standard_form(n_vars, ge=(), eq=(), nonneg=False):
+    """A general system written in ``lp_feasible``'s form {x >= 0 : A x = b}.
 
-    Free variables are split as x = x+ - x-, each ``ge`` row gets one
-    surplus column, and the witness (or None) is read back in Fractions.
+    Free variables are split as x = x+ - x-, and each ``ge`` row gets one
+    surplus column of coefficient -1, after the ``eq`` rows.  Returns the
+    number of columns and the rows; ``from_standard`` reads a solution
+    back.
     """
     ge, eq = list(ge), list(eq)
-    A, b = [], []
+    rows = []
     for i, (coef, rhs) in enumerate(eq + ge):
-        row = [Fraction(c) for c in coef]
+        row = list(coef)
         if not nonneg:
             row += [-c for c in row]
-        surplus = [Fraction(0)] * len(ge)
+        surplus = [0] * len(ge)
         if i >= len(eq):
-            surplus[i - len(eq)] = Fraction(-1)
-        A.append(row + surplus)
-        b.append(Fraction(rhs))
-    if not A:
-        return (Fraction(0),) * n_vars
-    sol = fraction_phase1(A, b)
-    if sol is None:
-        return None
+            surplus[i - len(eq)] = -1
+        rows.append((row + surplus, rhs))
+    return (n_vars if nonneg else 2 * n_vars) + len(ge), rows
+
+
+def from_standard(n_vars, x, nonneg=False):
+    """The general system's solution from a solution x of its
+    ``standard_form``."""
     if nonneg:
-        return tuple(sol[:n_vars])
-    return tuple(sol[j] - sol[n_vars + j] for j in range(n_vars))
+        return tuple(x[:n_vars])
+    return tuple(x[j] - x[n_vars + j] for j in range(n_vars))
+
+
+def fraction_lp_feasible(n_vars, ge=(), eq=(), nonneg=False):
+    """A general system's ``standard_form`` solved by ``fraction_phase1``:
+    the witness (or None) read back in Fractions."""
+    _, rows = standard_form(n_vars, ge, eq, nonneg)
+    if not rows:
+        return (Fraction(0),) * n_vars
+    sol = fraction_phase1([coef for coef, _ in rows], [rhs for _, rhs in rows])
+    return None if sol is None else from_standard(n_vars, sol, nonneg)
 
 
 def fraction_ray_distance(u, v):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +38,14 @@ def test_package_reexports_only_listed_names():
             continue
         mod = importlib.import_module(obj.__module__)
         assert attr in mod.__all__, (attr, mod.__name__)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check written as one would
+    # vanish there; every check in the package raises instead
+    root = Path(cyclecones.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

@@ -139,6 +139,17 @@ def test_size_too_large_to_allocate_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # what a size that fits an index but not memory raises, without
+    # asking for that memory
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(classes, "_divisor_sums", out_of_memory)
+    code, out, err = run(capsys, "identities", "--n", "10", "--max-m", "10")
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+
 class CountingSink(io.TextIOBase):
     """A stdout that counts write calls and characters; with keep=True it
     also keeps the text."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from decimal import Decimal
@@ -37,7 +38,10 @@ from oracles import (
     brute_member,
     brute_pointed,
     fraction_lp_feasible,
+    fraction_phase1,
     fraction_ray_distance,
+    from_standard,
+    standard_form,
 )
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=10)
@@ -56,11 +60,56 @@ def cone_of(*gens):
 
 
 def witness(sol):
-    """lp_feasible's (X, D) as the tuple of Fractions X / D; None kept."""
+    """An (X, D) witness as the tuple of Fractions X / D; None kept."""
     if sol is None:
         return None
     X, D = sol
     return tuple(Fraction(v, D) for v in X)
+
+
+def integer_rows(rows):
+    """The rows (coefficients, rhs) times one common positive lcm of all
+    their denominators, as ints: the same witnesses and certificates."""
+    entries = [Fraction(x) for coef, rhs in rows for x in (*coef, rhs)]
+    scale = math.lcm(*(x.denominator for x in entries))
+    return [
+        ([int(Fraction(c) * scale) for c in coef], int(Fraction(rhs) * scale))
+        for coef, rhs in rows
+    ]
+
+
+def check_answer(n_vars, rows, answer):
+    """Re-check an lp_feasible answer in ints: a witness X / D with X >= 0
+    that satisfies every row, or a Farkas certificate Y, one int per row,
+    with Y . A_j <= 0 in every column j and Y . b > 0."""
+    feasible, sol = answer
+    rows = integer_rows(rows)
+    assert type(feasible) is bool
+    if feasible:
+        X, D = sol
+        assert len(X) == n_vars and all(type(v) is int and v >= 0 for v in X)
+        assert type(D) is int and D > 0
+        for coef, rhs in rows:
+            assert sum(c * v for c, v in zip(coef, X)) == rhs * D
+    else:
+        Y = sol
+        assert len(Y) == len(rows) and all(type(y) is int for y in Y)
+        assert sum(y * rhs for y, (_, rhs) in zip(Y, rows)) > 0
+        for j in range(n_vars):
+            assert sum(y * coef[j] for y, (coef, _) in zip(Y, rows)) <= 0
+
+
+def solve(n_vars, ge=(), eq=(), nonneg=False):
+    """lp_feasible on a general system through its standard_form: its
+    witness read back as (x, D), or None once the certificate re-checks."""
+    width, rows = standard_form(n_vars, ge, eq, nonneg)
+    answer = lp_feasible(width, rows)
+    check_answer(width, rows, answer)
+    feasible, sol = answer
+    if not feasible:
+        return None
+    X, D = sol
+    return list(from_standard(n_vars, X, nonneg)), D
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +285,26 @@ def test_omega_ray():
 
 
 def test_lp_feasible_trivial_cases():
-    assert lp_feasible(1, ge=[([1], 1)]) == ([1], 1)
-    assert witness(lp_feasible(1, ge=[([1], 1)])) == (1,)
-    assert lp_feasible(1, ge=[([1], 1), ([-1], 0)]) is None
-    assert lp_feasible(2, eq=[([1, 1], 1)], nonneg=True) is not None
-    assert lp_feasible(1, eq=[([0], 1)]) is None
+    assert lp_feasible(1, [([1], 1)]) == (True, ([1], 1))
+    assert lp_feasible(1, [([0], 1)]) == (False, [1])
+    assert lp_feasible(1, [([1], 1), ([1], 2)]) == (False, [-1, 1])
+    assert solve(1, ge=[([1], 1)]) == ([1], 1)
+    assert witness(solve(1, ge=[([1], 1)])) == (1,)
+    assert solve(1, ge=[([1], 1), ([-1], 0)]) is None
+    assert solve(2, eq=[([1, 1], 1)], nonneg=True) is not None
+    assert solve(1, eq=[([0], 1)]) is None
     with pytest.raises(ValueError):
-        lp_feasible(2, ge=[([1], 1)])
+        lp_feasible(2, [([1], 1)])
 
 
 def test_lp_witness_satisfies_system():
-    X, D = lp_feasible(
+    x, D = solve(
         3,
         ge=[([1, 2, -1], 3), ([0, 1, 1], 2)],
         eq=[([1, 1, 1], 4)],
     )
-    assert all(type(v) is int for v in X) and type(D) is int and D > 0
-    w = witness((X, D))
+    assert all(type(v) is int for v in x) and type(D) is int and D > 0
+    w = witness((x, D))
     assert w is not None
     assert w[0] + 2 * w[1] - w[2] >= 3
     assert w[1] + w[2] >= 2
@@ -261,8 +313,9 @@ def test_lp_witness_satisfies_system():
 
 @pytest.mark.parametrize("nonneg", [False, True])
 def test_lp_empty_system_returns_the_zero_witness(nonneg):
-    assert lp_feasible(2, nonneg=nonneg) == ([0, 0], 1)
-    assert lp_feasible(0, nonneg=nonneg) == ([], 1)
+    assert solve(2, nonneg=nonneg) == ([0, 0], 1)
+    assert solve(0, nonneg=nonneg) == ([], 1)
+    assert lp_feasible(2, []) == (True, ([0, 0], 1))
 
 
 @pytest.mark.parametrize(
@@ -280,19 +333,53 @@ def test_lp_rejects_non_rational_coefficients(monkeypatch, rows):
 
     monkeypatch.setattr(cones, "_phase1", no_pivot)
     with pytest.raises(TypeError, match="not rational"):
-        lp_feasible(1, **rows)
+        solve(1, nonneg=True, **rows)
 
 
 def test_lp_rejects_a_wrong_witness(monkeypatch):
-    monkeypatch.setattr(cones, "_phase1", lambda A, b, den, n: ([0] * n, 1))
-    with pytest.raises(ArithmeticError, match="equality row 0"):
-        lp_feasible(1, eq=[([1], 1)], nonneg=True)
-    with pytest.raises(ArithmeticError, match="inequality row 1"):
-        lp_feasible(1, ge=[([1], 0), ([1], 1)])
+    monkeypatch.setattr(
+        cones, "_phase1", lambda A, b, den, n: (True, ([0] * n, 1))
+    )
+    with pytest.raises(ArithmeticError, match="violates row 0"):
+        solve(1, eq=[([1], 1)], nonneg=True)
+    with pytest.raises(ArithmeticError, match="violates row 1"):
+        solve(1, ge=[([1], 0), ([1], 1)])
+    # x = -1 satisfies the row, but x >= 0 is part of the system
+    monkeypatch.setattr(
+        cones, "_phase1", lambda A, b, den, n: (True, ([-1], 1))
+    )
+    with pytest.raises(ArithmeticError, match="nonnegative"):
+        lp_feasible(1, [([1], -1)])
 
 
 def test_lp_rejects_a_wrong_witness_with_asserts_stripped(run_optimized):
     test = f"{__file__}::test_lp_rejects_a_wrong_witness"
+    proc = run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_lp_rejects_a_wrong_certificate(monkeypatch):
+    phase1 = cones._phase1
+
+    def declared_infeasible(A, b, den, n):
+        feasible, _ = phase1(A, b, den, n)
+        return False, [1] * len(A)
+
+    # a feasible system declared infeasible: no certificate can check
+    monkeypatch.setattr(cones, "_phase1", declared_infeasible)
+    with pytest.raises(ArithmeticError, match="certificate"):
+        lp_feasible(2, [([1, 1], 1)])
+    # x = 1 and x = 2 is infeasible, and (-1, 1) would prove it: (1, 1),
+    # (1, -1) and a certificate missing a row do not
+    for Y in ([1, 1], [1, -1], [1]):
+        monkeypatch.setattr(cones, "_phase1",
+                            lambda A, b, den, n, Y=Y: (False, Y))
+        with pytest.raises(ArithmeticError, match="certificate"):
+            lp_feasible(1, [([1], 1), ([1], 2)])
+
+
+def test_lp_rejects_a_wrong_certificate_with_asserts_stripped(run_optimized):
+    test = f"{__file__}::test_lp_rejects_a_wrong_certificate"
     proc = run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -314,6 +401,31 @@ def lp_systems(draw):
     return n, ge, eq
 
 
+@st.composite
+def standard_systems(draw):
+    """Small systems {x >= 0 : A x = b} in lp_feasible's own form, with no
+    column or no row at times."""
+    n = draw(st.integers(0, 4))
+    entry = st.sampled_from(LP_ENTRIES)
+    row = st.tuples(st.lists(entry, min_size=n, max_size=n), entry)
+    return n, draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(standard_systems())
+def test_lp_answer_is_a_checked_witness_or_certificate(system):
+    n, rows = system
+    answer = lp_feasible(n, rows)
+    check_answer(n, rows, answer)
+    expected = fraction_phase1([c for c, _ in rows], [r for _, r in rows])
+    if not rows:
+        expected = [0] * n
+    feasible, sol = answer
+    assert feasible == (expected is not None)
+    if feasible:
+        assert list(witness(sol)) == expected
+
+
 def _q(*rows):
     return [([Fraction(c) for c in coef], Fraction(rhs)) for coef, rhs in rows]
 
@@ -330,7 +442,7 @@ def _q(*rows):
 def test_integer_simplex_matches_the_fraction_tableau(system, nonneg):
     n, ge, eq = system
     expected = fraction_lp_feasible(n, ge, eq, nonneg)
-    assert witness(lp_feasible(n, ge=ge, eq=eq, nonneg=nonneg)) == expected
+    assert witness(solve(n, ge, eq, nonneg)) == expected
 
 
 def test_integer_simplex_on_beales_cycling_example():
@@ -350,11 +462,11 @@ def test_integer_simplex_on_beales_cycling_example():
                              (Fraction(1, 19), False)):
         rows = ge + [(objective, target)]
         for nonneg, system in ((True, rows), (False, rows + bounds)):
-            w = witness(lp_feasible(4, ge=system, nonneg=nonneg))
+            w = witness(solve(4, ge=system, nonneg=nonneg))
             assert w == fraction_lp_feasible(4, system, (), nonneg)
             assert (w is not None) == feasible
-    optimum = witness(lp_feasible(4, ge=ge + [(objective, Fraction(1, 20))],
-                                  nonneg=True))
+    optimum = witness(solve(4, ge=ge + [(objective, Fraction(1, 20))],
+                            nonneg=True))
     assert optimum == (Fraction(1, 25), 0, 1, 0)
 
 
@@ -362,10 +474,10 @@ def test_cone_report_lps_match_the_fraction_tableau(capsys, monkeypatch):
     calls = []
     lp, phase1 = cones.lp_feasible, cones._phase1
 
-    def recorded(n_vars, ge=(), eq=(), nonneg=False):
-        w = lp(n_vars, ge=ge, eq=eq, nonneg=nonneg)
-        calls.append((n_vars, ge, eq, nonneg, w))
-        return w
+    def recorded(n_vars, eq):
+        answer = lp(n_vars, eq)
+        calls.append((n_vars, eq, answer))
+        return answer
 
     def integral(A, b, den, n):
         # the simplex sees ints only, so no Fraction arithmetic runs in it
@@ -377,8 +489,14 @@ def test_cone_report_lps_match_the_fraction_tableau(capsys, monkeypatch):
     assert main(["cone", "--n", "130", "--max-m", "62"]) == 0
     capsys.readouterr()
     assert len(calls) > 100
-    for n_vars, ge, eq, nonneg, w in calls:
-        assert witness(w) == fraction_lp_feasible(n_vars, ge, eq, nonneg)
+    infeasible = 0
+    for n_vars, eq, answer in calls:
+        check_answer(n_vars, eq, answer)
+        feasible, sol = answer
+        expected = fraction_lp_feasible(n_vars, (), eq, True)
+        assert (witness(sol) if feasible else None) == expected
+        infeasible += not feasible
+    assert infeasible > 0
 
 
 def test_member_examples():

@@ -6,7 +6,7 @@ import pytest
 # on purpose; a change to the library that moves any printed byte fails
 DEMO_STDOUT_SHA256 = {
     "accumulation_cone.py":
-        "c382464ddfedf62bd51c4e5ec7e6e65fe7717f07005b6db5136a19cd0ad50bf4",
+        "2849b33cf1d095674baa8243514abf4e4080c0572a2ef03d6b2bf5973621227a",
     "eisenstein_identities.py":
         "ace9b2c37d5da66aab03527489ca4d5bd36f09ad19952a44fc12c7b2375ead89",
     "lattice_cycles.py":
