@@ -9,6 +9,7 @@ divisors.  Coordinates are taken in the basis dual to a Miller basis.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -241,34 +242,41 @@ def primitive_eisenstein_identity(
 
 def eisenstein_identity_scan(
     n: int, max_m: int
-) -> list[tuple[str, int, str, str, bool]]:
-    """Both Eisenstein identity checks for 1 <= m <= max_m as rows
-    (check, m, lhs, rhs, equal), coefficient before primitive at each m.
+) -> Iterator[tuple[str, int, str, str, bool]]:
+    """Both Eisenstein identity checks for 1 <= m <= max_m as an iterator
+    over rows (check, m, lhs, rhs, equal), coefficient before primitive at
+    each m.  The arguments are checked, and the divisor sums and the two
+    scales computed, before it returns; each row is made when asked for.
 
     Each side is a scale times an int (see _identity_sides), F and G
     computed by independent routes, so F a == G b is decided as
     F.num a G.den == G.num b F.den, and F a is written p/q in lowest terms
-    by one gcd(a, F.den), as gcd(F.num, F.den) = 1.  No Fraction is built
-    per m, each m is factored once, and the rows agree with
-    eisenstein_coefficient_identity and primitive_eisenstein_identity.
+    by one gcd(a, F.den), as gcd(F.num, F.den) = 1.  Equal sides in lowest
+    terms are the same string, so an equal row's rhs is its lhs.  No
+    Fraction is built per m, each m is factored once, and the rows agree
+    with eisenstein_coefficient_identity and primitive_eisenstein_identity.
     """
     k = weight_for_signature(n)
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
     sums = _divisor_sums(k - 1, max_m + 1)
     scale_f, scale_g = _eisenstein_scale(k), 2 / zeta_negative(n // 2)
+    return _identity_rows(n // 2, max_m, sums, scale_f, scale_g)
+
+
+def _identity_rows(s, max_m, sums, scale_f, scale_g):
     fn, fd = scale_f.numerator, scale_f.denominator
     gn, gd = scale_g.numerator, scale_g.denominator
-    out = []
     for m in range(1, max_m + 1):
-        sides = _identity_sides(m, n // 2, factorize(m), sums)
+        sides = _identity_sides(m, s, factorize(m), sums)
         for check, (a, b) in zip(("coefficient", "primitive"), sides):
-            ga, gb = gcd(a, fd), gcd(b, gd)
-            out.append((
-                check, m, f"{fn * a // ga}/{fd // ga}",
-                f"{gn * b // gb}/{gd // gb}", fn * a * gd == gn * b * fd,
-            ))
-    return out
+            ga = gcd(a, fd)
+            lhs = f"{fn * a // ga}/{fd // ga}"
+            if fn * a * gd == gn * b * fd:
+                yield check, m, lhs, lhs, True
+            else:
+                gb = gcd(b, gd)
+                yield check, m, lhs, f"{gn * b // gb}/{gd // gb}", False
 
 
 def limit_prefactor(r: int, r_prime: int) -> Fraction:

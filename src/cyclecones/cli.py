@@ -3,9 +3,9 @@ reports, and lattice utilities, with deterministic machine-readable output.
 
 All pass/fail decisions are exact; floats appear only in display columns.
 Exit codes: 0 success, 1 an exact check failed, 2 usage or input error,
-a size too large to allocate, or a cache file that cannot be read or
-written, 141 (128 + SIGPIPE) when the reader closes stdout early, with
-nothing on stderr.
+a size too large to allocate, a cache file that cannot be read or
+written, or a temporary file that cannot be written, 141 (128 + SIGPIPE)
+when the reader closes stdout early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -150,7 +150,9 @@ def _write_lines(lines) -> None:
     lines = iter(lines)
     while block := list(islice(lines, _BLOCK_LINES)):
         block.append("")  # the line break after the last line
-        write("\n".join(block))
+        text = "\n".join(block)
+        del block  # before write makes its encoded copy
+        write(text)
 
 
 def _print_csv(header, rows) -> None:
@@ -160,12 +162,14 @@ def _print_csv(header, rows) -> None:
 
 
 # One identities record as json.dumps(..., sort_keys=True, indent=2) lays
-# it out in the record list.  No field needs escaping: check is a literal,
-# equal a bool, m an int, and lhs and rhs match -?\d+/\d+.
+# it out in the record list, after the ",\n" that ends the record before
+# it.  No field needs escaping: check is a literal, equal a bool, m an int,
+# and lhs and rhs match -?\d+/\d+.
 _RECORD = (
-    '    {\n      "check": "%s",\n      "equal": %s,\n      "lhs": "%s",\n'
+    ',\n    {\n      "check": "%s",\n      "equal": %s,\n      "lhs": "%s",\n'
     '      "m": %d,\n      "rhs": "%s"\n    }'
 )
+_SPOOL_CHUNK = 256 * 1024
 
 
 def _frac_str(x) -> str:
@@ -174,10 +178,19 @@ def _frac_str(x) -> str:
 
 def cmd_identities(args) -> int:
     """Both Eisenstein identity checks for 1 <= m <= max_m; exit 0 iff all
-    comparisons are exactly equal."""
+    comparisons are exactly equal.  Rows are written as the scan makes
+    them.  JSON's all_equal comes before its records, so they wait in an
+    anonymous temporary file and stdout gets no byte until the scan ends."""
     _note_physicality(args)
-    rows = eisenstein_identity_scan(args.n, args.max_m)
-    first_failing = next((m for _, m, _, _, equal in rows if not equal), None)
+    failed = []  # the m of the first failed check, once it is written
+
+    def noted(rows):
+        for row in rows:
+            if not (row[4] or failed):
+                failed.append(row[1])
+            yield row
+
+    rows = noted(eisenstein_identity_scan(args.n, args.max_m))
     if args.format == "csv":
         _print_csv(
             ["check", "m", "n", "lhs", "rhs", "equal"],
@@ -187,32 +200,38 @@ def cmd_identities(args) -> int:
             ),
         )
     else:
-        doc = {
-            "all_equal": first_failing is None,
-            "max_m": args.max_m,
-            "n": args.n,
-            "physical": args.physical,
-            "records": [None] if rows else [],
-            "weight": args.weight,
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2)
-        if not rows:
-            _write_lines([text])
-        else:
-            # the records go where the placeholder's line splits the dump
-            head, tail = text.split("\n    null\n")
-            records = (
-                _RECORD % (check, "true" if equal else "false", lhs, m, rhs)
-                for check, m, lhs, rhs, equal in rows
-            )
-            _write_lines(chain(
-                [head],
-                (r + "," for r in islice(records, len(rows) - 1)),
-                records,  # the last record, which takes no comma
-                [tail],
-            ))
-    if first_failing is not None:
-        _warn(f"identity check failed first at m = {first_failing}")
+        import tempfile  # only JSON output spools
+
+        with tempfile.TemporaryFile() as spool:
+            for check, m, lhs, rhs, equal in rows:
+                spool.write((_RECORD % (
+                    check, "true" if equal else "false", lhs, m, rhs
+                )).encode("ascii"))
+            spooled = spool.tell()
+            doc = {
+                "all_equal": not failed,
+                "max_m": args.max_m,
+                "n": args.n,
+                "physical": args.physical,
+                "records": [None] if spooled else [],
+                "weight": args.weight,
+            }
+            text = json.dumps(doc, sort_keys=True, indent=2)
+            if not spooled:
+                _write_lines([text])
+            else:
+                # the records go where the placeholder's line splits the
+                # dump, without the first record's leading ",\n"
+                head, tail = text.split("\n    null\n")
+                write = sys.stdout.write
+                write(head + "\n")
+                spool.seek(2)
+                while chunk := spool.read(_SPOOL_CHUNK).decode("ascii"):
+                    write(chunk)
+                    del chunk  # so that the next chunk is read in its place
+                write(f"\n{tail}\n")
+    if failed:
+        _warn(f"identity check failed first at m = {failed[0]}")
         return 1
     return 0
 

@@ -160,7 +160,7 @@ def test_representation_consistency():
 def test_identity_reports():
     r = eisenstein_coefficient_identity(1, 10)
     assert (r.lhs, r.rhs, r.equal) == (Fraction(-504), Fraction(-504), True)
-    assert eisenstein_identity_scan(10, 1)[0] == (
+    assert list(eisenstein_identity_scan(10, 1))[0] == (
         "coefficient", 1, "-504/1", "-504/1", True
     )
     r = eisenstein_coefficient_identity(2, 10)
@@ -216,7 +216,7 @@ def test_identity_scan_matches_the_per_index_checks(n):
     for m in range(1, 201):
         want.append(("coefficient", eisenstein_coefficient_identity(m, n, series)))
         want.append(("primitive", primitive_eisenstein_identity(m, n, series)))
-    got = eisenstein_identity_scan(n, 200)
+    got = list(eisenstein_identity_scan(n, 200))
     assert got == [
         (c, r.m, _written(r.lhs), _written(r.rhs), r.equal) for c, r in want
     ]
@@ -224,7 +224,7 @@ def test_identity_scan_matches_the_per_index_checks(n):
     assert [row[:2] for row in eisenstein_identity_scan(n, 2)] == [
         ("coefficient", 1), ("primitive", 1), ("coefficient", 2), ("primitive", 2)
     ]
-    assert eisenstein_identity_scan(n, 0) == []
+    assert list(eisenstein_identity_scan(n, 0)) == []
 
 
 def test_identity_scan_factorizes_each_index_once(monkeypatch):
@@ -236,7 +236,7 @@ def test_identity_scan_factorizes_each_index_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(classes, "factorize", counted)
-    eisenstein_identity_scan(18, 500)
+    list(eisenstein_identity_scan(18, 500))
     assert calls == list(range(1, 501))
 
 
@@ -244,7 +244,7 @@ def test_identity_scan_factorizes_each_index_once(monkeypatch):
 # a denominator other than 1 (65520/691 at k = 12), as at n = 34 and 50
 @pytest.mark.parametrize("n", (10, 18, 26, 34, 50, 22, 30, 42))
 def test_identity_scan_matches_the_fraction_scan(n):
-    got = eisenstein_identity_scan(n, 1000)
+    got = list(eisenstein_identity_scan(n, 1000))
     assert got == _fraction_rows(n, 1000)
     assert all(row[4] for row in got)
 
@@ -263,7 +263,7 @@ def test_identity_scan_decides_unequal_sides_as_fractions_do(monkeypatch):
     for n in (10, 22, 34):
         want = _fraction_rows(n, 300)
         assert sum(not row[4] for row in want) > 300
-        assert eisenstein_identity_scan(n, 300) == want
+        assert list(eisenstein_identity_scan(n, 300)) == want
 
 
 def _fraction_rows(n, max_m):
@@ -290,7 +290,7 @@ def test_identity_scan_builds_no_fraction_per_index():
 
         sys.setprofile(hook)
         try:
-            eisenstein_identity_scan(18, max_m)
+            list(eisenstein_identity_scan(18, max_m))
         finally:
             sys.setprofile(None)
         return count

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def test_identities_report_a_failed_check(capsys, monkeypatch):
         return sums
 
     monkeypatch.setattr(classes, "_divisor_sums", wrong_c4)
-    scan = eisenstein_identity_scan(10, 6)
+    scan = list(eisenstein_identity_scan(10, 6))
     code, out, err = run(capsys, "identities", "--n", "10", "--max-m", "6")
     assert code == 1
     assert out == identities_csv_text(10, scan)
@@ -185,7 +186,7 @@ def test_write_lines_sends_at_most_1024_lines_per_call(monkeypatch, count):
 @pytest.mark.parametrize("n", [10, 22, 50])
 @pytest.mark.parametrize("max_m", [0, 1, 511, 512, 513, 3001])
 def test_identities_output_is_the_former_printing(capsys, n, max_m):
-    rows = eisenstein_identity_scan(n, max_m)
+    rows = list(eisenstein_identity_scan(n, max_m))
     argv = ("identities", "--n", str(n), "--max-m", str(max_m))
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -219,9 +220,9 @@ def test_identities_json_is_written_in_blocks(monkeypatch):
     assert code == 0
     records = 2 * 3001
     assert sink.calls <= math.ceil(records / 1024) + 2
-    assert sink.chars == len(
-        identities_json_text(18, 3001, eisenstein_identity_scan(18, 3001))
-    )
+    assert sink.chars == len(identities_json_text(
+        18, 3001, list(eisenstein_identity_scan(18, 3001))
+    ))
 
 
 def _traced(function, *args):
@@ -237,6 +238,10 @@ def _traced(function, *args):
     return size, peak
 
 
+def _scan_rows(n, max_m):
+    return list(eisenstein_identity_scan(n, max_m))
+
+
 @pytest.mark.parametrize("argv", [
     ("identities", "--n", "18", "--max-m", "3001", "--format", "json"),
     ("identities", "--n", "42", "--max-m", "1999"),
@@ -245,10 +250,52 @@ def test_identities_output_needs_less_than_the_rows_again(monkeypatch, argv):
     # one json.dumps of the whole document peaked at 5.9 times the rows,
     # printing the CSV from one joined string at 2.7 times
     n, max_m = int(argv[2]), int(argv[4])
-    rows_size, _ = _traced(eisenstein_identity_scan, n, max_m)
+    rows_size, _ = _traced(_scan_rows, n, max_m)
     monkeypatch.setattr(sys, "stdout", CountingSink())
     _, peak = _traced(main, list(argv))
     assert peak < 2 * rows_size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [18, 42])
+def test_identities_memory_does_not_grow_with_the_rows(monkeypatch, n, fmt):
+    # holding every row before writing, the peak grew by 0.84 to 1.05
+    # times the rows' growth from max-m 1,500 to 3,000
+    argv = ["identities", "--n", str(n), "--format", fmt, "--max-m"]
+    monkeypatch.setattr(sys, "stdout", CountingSink())
+    main(argv + ["1"])  # fills the caches that outlive a command
+    rows = [_traced(_scan_rows, n, max_m)[0] for max_m in (1500, 3000)]
+    peaks = [_traced(main, argv + [str(max_m)])[1] for max_m in (1500, 3000)]
+    assert peaks[1] - peaks[0] < 0.4 * (rows[1] - rows[0])
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class FillingSpool(io.BytesIO):
+    """A temporary file on a disk that is full after 100 writes."""
+
+    room = 100
+
+    def write(self, data):
+        if not self.room:
+            _no_space()
+        self.room -= 1
+        return super().write(data)
+
+
+@pytest.mark.parametrize("spool", [_no_space, FillingSpool])
+def test_identities_spool_that_cannot_be_written_exits_2(
+    capsys, monkeypatch, spool
+):
+    # the JSON head waits for the scan, so stdout has not had a byte yet
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+    code, out, err = run(
+        capsys, "identities", "--n", "18", "--max-m", "500", "--format", "json"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_converge_empty_table(capsys):
@@ -440,8 +487,8 @@ def test_cache_write_failure_leaves_no_cache_file(tmp_path, capsys, monkeypatch)
     assert [f.name for f in cache.iterdir()] == ["miller_k18_N9.txt"]
 
 
-def _cli_process(*argv, stdout):
-    env = dict(os.environ)
+def _cli_process(*argv, stdout, **environ):
+    env = dict(os.environ, **environ)
     env.pop("PYTHONUNBUFFERED", None)  # buffer stdout, as for any pipe
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
@@ -470,6 +517,24 @@ def test_closed_stdout_exits_141_quietly():
         assert proc.wait(timeout=300) == 141
 
 
+def test_identities_leave_no_spool_file(tmp_path):
+    # the JSON records wait in a temporary file; it must be gone whether
+    # the command ends or the reader leaves early
+    argv = ("identities", "--n", "18", "--max-m", "3000", "--format", "json")
+    env = {"TMPDIR": str(tmp_path)}
+    with _cli_process(*argv, stdout=subprocess.PIPE, **env) as proc:
+        out, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (0, b"")
+    assert json.loads(out)["all_equal"] is True
+    assert list(tmp_path.iterdir()) == []
+    with _cli_process(*argv, stdout=subprocess.PIPE, **env) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=300) == 141
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unbuffered_stdout_gets_every_byte():
     # under PYTHONUNBUFFERED stdout is a raw file: each block is one write
     argv = ("identities", "--n", "18", "--max-m", "600", "--format", "json")
@@ -483,7 +548,7 @@ def test_unbuffered_stdout_gets_every_byte():
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.decode() == identities_json_text(
-        18, 600, eisenstein_identity_scan(18, 600)
+        18, 600, list(eisenstein_identity_scan(18, 600))
     )
 
 
