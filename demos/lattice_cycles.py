@@ -18,11 +18,11 @@ from cyclecones import (
     norm_q,
     vector_of_norm,
 )
-from cyclecones.lattice import lattice_determinant, lattice_signature
+from cyclecones.linalg import det, gram_signature
 
 lat = build_even_unimodular(10)
-print(f"lattice U+U+E8: rank {lat.rank}, det {lattice_determinant(lat)}, "
-      f"signature {lattice_signature(lat)}")
+print(f"lattice U+U+E8: rank {lat.rank}, det {det(lat.gram)}, "
+      f"signature {gram_signature(lat.gram)}")
 print()
 
 for m in (1, 7):

@@ -4,8 +4,9 @@ reports, and lattice utilities, with deterministic machine-readable output.
 All pass/fail decisions are exact; floats appear only in display columns.
 Exit codes: 0 success, 1 an exact check failed, 2 usage or input error,
 a size too large to allocate, a cache file that cannot be read or
-written, or a temporary file that cannot be written, 141 (128 + SIGPIPE)
-when the reader closes stdout early, with nothing on stderr.
+written, a temporary file that cannot be written, or a closed stdout,
+141 (128 + SIGPIPE) when the reader closes stdout early, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .lattice import (
     build_even_unimodular,
     common_component_family,
     gauss_reduce,
-    gram_to_json,
     is_positive_definite,
     moment_matrix,
     norm_q,
@@ -280,7 +280,7 @@ def cmd_cone(args) -> int:
     cone = accumulation_cone_model(args.weight, args.max_m, basis)
     half_m = max(1, args.max_m // 2)
     # the generators are omega, then P_1 .. P_max_m: the half cone's prefix
-    half_cone = Cone(cone.generators[:half_m + 1], args.weight)
+    half_cone = Cone(cone.generators[:half_m + 1])
     doc = {
         "dim": span_dimension(cone),
         "expected_dim": dim_mk(args.weight),
@@ -328,10 +328,7 @@ def _parse_int_matrix(text: str, what: str):
 def cmd_lattice(args) -> int:
     if args.subcommand == "reduce":  # a reduction reads no lattice
         rows = _parse_int_matrix(args.doubled, "--doubled")
-        try:
-            t = HalfIntegralMatrix(tuple(tuple(r) for r in rows))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        t = HalfIntegralMatrix(tuple(tuple(r) for r in rows))
         if t.dimension != 2 or not is_positive_definite(t):
             raise UsageError(
                 "reduction needs a positive definite binary matrix"
@@ -348,7 +345,9 @@ def cmd_lattice(args) -> int:
         return 0
     lattice = build_even_unimodular(args.n)
     if args.subcommand == "build":
-        print(gram_to_json(lattice))
+        doc = {"gram": lattice.gram, "rank": lattice.rank,
+               "signature": lattice.signature}
+        print(json.dumps(doc, sort_keys=True))
         return 0
     if args.subcommand == "moment":
         vectors = _parse_int_matrix(args.vectors, "--vectors")
@@ -463,6 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        _warn("error: stdout is closed")
+        return 2
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -61,20 +61,17 @@ def _ray_key(coords) -> tuple[int, ...]:
                              for c in coords]))
 
 
-class Ray(_Record, compare=("key",)):
+class Ray(_Record):
     """Oriented ray of a nonzero rational vector, held as its primitive
-    integer vector ``key``.
+    integer vector ``key``; two rays are equal exactly when their keys are
+    equal."""
 
-    Two rays are equal exactly when their keys are equal; the weight is a
-    bookkeeping tag and does not enter comparisons.
-    """
+    __slots__ = ("key",)
 
-    __slots__ = ("key", "weight")
-
-    def __init__(self, coords, weight: int | None = None) -> None:
+    def __init__(self, coords) -> None:
         if not any(coords):
             raise ValueError("the zero vector spans no ray")
-        super().__init__(_ray_key(coords), weight)
+        super().__init__(_ray_key(coords))
 
     @property
     def canonical(self) -> tuple[Fraction, ...]:
@@ -87,21 +84,18 @@ class Ray(_Record, compare=("key",)):
         return len(self.key)
 
 
-class Cone(_Record, compare=("generators",)):
-    """Finitely generated rational cone, kept as its generator list; the
-    weight is a tag and does not enter comparisons."""
+class Cone(_Record):
+    """Finitely generated rational cone, kept as its generator list."""
 
-    __slots__ = ("generators", "weight")
+    __slots__ = ("generators",)
 
-    def __init__(
-        self, generators: tuple[ClassVector, ...], weight: int | None = None
-    ) -> None:
+    def __init__(self, generators: tuple[ClassVector, ...]) -> None:
         dims = {g.dimension for g in generators}
         if len(dims) > 1:
             raise ValueError("generators must share one dimension")
         if any(g.is_zero() for g in generators):
             raise ValueError("zero generators are not allowed")
-        super().__init__(generators, weight)
+        super().__init__(generators)
 
     @property
     def dimension(self) -> int:
@@ -133,7 +127,7 @@ def omega_ray(k: int, basis: MillerBasis | None = None) -> Ray:
         raise ValueError(f"weight {k} has an empty form space")
     if basis is None:
         basis = miller_basis(k, d)
-    return Ray(coordinates(omega_class(k), basis).coords, k)
+    return Ray(coordinates(omega_class(k), basis).coords)
 
 
 def _scan_basis(k: int, min_precision: int) -> MillerBasis:
@@ -185,7 +179,7 @@ def accumulation_cone_model(
     gens = [coordinates(omega_class(k), basis)]
     for m in range(1, truncation + 1):
         gens.append(coordinates(primitive_heegner_class(m, k), basis))
-    return Cone(tuple(gens), k)
+    return Cone(tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +423,7 @@ def _extremal_sweep(cone: Cone) -> list[int]:
 def extremal_rays(cone: Cone) -> set[Ray]:
     """Rays of the extremal generators."""
     gens = cone.generators
-    return {Ray(gens[j].coords, gens[j].weight)
-            for j in extremal_generators(cone)}
+    return {Ray(gens[j].coords) for j in extremal_generators(cone)}
 
 
 def span_dimension(cone: Cone) -> int:

@@ -9,7 +9,6 @@ matrices carry an exact Gauss reduction to a unique GL_2(Z) representative.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -32,9 +31,6 @@ __all__ = [
     "gauss_reduce",
     "transform",
     "common_component_family",
-    "lattice_signature",
-    "lattice_determinant",
-    "gram_to_json",
 ]
 
 # Gram matrix of the E8 root lattice in a base of simple roots
@@ -281,23 +277,3 @@ def common_component_family(
             )
         )
     return out
-
-
-def lattice_signature(lattice: EvenLattice) -> tuple[int, int]:
-    """Inertia of the Gram matrix, computed exactly (congruence reduction)."""
-    return gram_signature(lattice.gram)
-
-
-def lattice_determinant(lattice: EvenLattice) -> int:
-    return det(lattice.gram)
-
-
-def gram_to_json(lattice: EvenLattice) -> str:
-    return json.dumps(
-        {
-            "gram": lattice.gram,
-            "rank": lattice.rank,
-            "signature": lattice.signature,
-        },
-        sort_keys=True,
-    )

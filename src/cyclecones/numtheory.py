@@ -18,7 +18,6 @@ __all__ = [
     "moebius",
     "square_divisors",
     "factorize",
-    "divisors",
 ]
 
 
@@ -29,19 +28,18 @@ class _Record:
     them positionally in that order, and a subclass that checks or
     normalizes its input ends its ``__init__`` in ``super().__init__``.
     Afterwards assigning to or deleting a field raises ``AttributeError``.
-    ``==`` and ``hash()`` see the fields named by the class keyword
-    ``compare`` (all fields by default), and ``repr`` shows every field.
-    ``copy`` and ``pickle`` rebuild an instance through ``__init__``, since
-    its fields cannot be assigned.
+    ``==``, ``hash()`` and ``repr`` see every field.  ``copy`` and
+    ``pickle`` rebuild an instance through ``__init__``, since its fields
+    cannot be assigned.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, compare=None, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # an attrgetter is not a descriptor, so it is called as
         # self._key(obj); with one field it returns the field itself
-        cls._key = attrgetter(*(compare or cls.__slots__))
+        cls._key = attrgetter(*cls.__slots__)
 
     def __init__(self, *values):
         fields = self.__slots__
@@ -180,16 +178,3 @@ def square_divisors(m: int) -> list[int]:
     if m < 1:
         raise ValueError(f"square_divisors requires m >= 1, got {m}")
     return [t for t in range(1, isqrt(m) + 1) if m % (t * t) == 0]
-
-
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m, ascending."""
-    if m < 1:
-        raise ValueError(f"divisors requires m >= 1, got {m}")
-    small, large = [], []
-    for d in range(1, isqrt(m) + 1):
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-    return small + large[::-1]

@@ -72,12 +72,15 @@ def _eisenstein_scale(k: int) -> Fraction:
 
 
 def eisenstein(k: int, precision: int) -> QSeries:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum_m sigma_{k-1}(m) q^m."""
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum_m sigma_{k-1}(m) q^m,
+    with int coefficients where -2k/B_k is an int (k = 4, 6, 8, 10, 14)."""
     factor = _eisenstein_scale(k)
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
+    if factor.denominator == 1:
+        factor = factor.numerator
     sums = _divisor_sums(k - 1, precision)
-    return QSeries(k, (Fraction(1), *(factor * x for x in sums[1:])))
+    return QSeries(k, (type(factor)(1), *(factor * x for x in sums[1:])))
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -88,15 +91,6 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
         if ai:
             out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
     return out
-
-
-def _eisenstein_ints(k: int, precision: int) -> list[int]:
-    """E_k's coefficients as ints; -2k/B_k is an int for k = 4, 6, 8, 10, 14."""
-    factor = _eisenstein_scale(k)
-    if factor.denominator != 1:
-        raise ArithmeticError(f"E_{k} does not have integer coefficients")
-    sums = _divisor_sums(k - 1, precision)
-    return [1] + [factor.numerator * x for x in sums[1:]]
 
 
 def _delta_ints(e4: list[int], e6: list[int]) -> list[int]:
@@ -149,8 +143,8 @@ def miller_basis(k: int, precision: int) -> MillerBasis:
     r = k - 12 * (d - 1)  # one of 0, 4, 6, 8, 10, 14
     b = r % 4 // 2
     a = (r - 6 * b) // 4
-    e4 = _eisenstein_ints(4, precision)
-    e6 = _eisenstein_ints(6, precision)
+    e4 = eisenstein(4, precision).coefficients
+    e6 = eisenstein(6, precision).coefficients
     one = [1] + [0] * (precision - 1)
     tail = one
     for f, e in ((e4, a), (e6, b)):

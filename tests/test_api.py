@@ -49,3 +49,25 @@ def test_package_has_no_assert_statements():
         lines = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_package_modules_import_no_unused_name():
+    # without bytecode every import is compiled and run on each command,
+    # so a name a module imports and never reads is pure start-up cost;
+    # __init__ imports the public names to re-export them
+    root = Path(cyclecones.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused = [
+            (node.lineno, bound)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in read
+        ]
+        assert not unused, (path.name, unused)

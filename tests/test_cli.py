@@ -562,6 +562,35 @@ def test_stdout_closed_before_a_short_output_exits_141_quietly():
         assert proc.wait(timeout=300) == 141
 
 
+def test_closed_stdout_at_start_exits_2_before_any_work(tmp_path):
+    # a process started with file descriptor 1 closed has sys.stdout None;
+    # the trampoline closes it and then execs the CLI in its place
+    close_and_run = (
+        "import os, sys; os.close(1); "
+        "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    cache = tmp_path / "cache"
+    for argv in (
+        ("lattice", "build", "--n", "10"),
+        ("identities", "--n", "10", "--max-m", "5"),
+        ("identities", "--n", "10", "--max-m", "5", "--format", "json"),
+        ("converge", "--n", "18", "--max-m", "5", "--cache-dir", str(cache)),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", close_and_run, "-m", "cyclecones.cli",
+             *argv],
+            stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (
+            2, b"error: stdout is closed\n"
+        ), argv
+    assert not cache.exists()  # the options were not even read
+
+
 def test_unreadable_cache_file_exits_2(tmp_path, capsys):
     # a directory where the cache file belongs: reading it raises
     # IsADirectoryError, which is an input error, not a failed check
@@ -610,6 +639,15 @@ def test_lattice_reduce(capsys):
         capsys, "lattice", "reduce", "--n", "10", "--doubled", "[[2,2],[2,2]]"
     )
     assert code == 2 and "positive definite" in err
+
+    # HalfIntegralMatrix's ValueError is an input error like any other
+    for doubled, message in (
+        ("[[4,3],[3]]", "matrix must be square"),
+        ("[[4,3],[2,4]]", "matrix must be symmetric"),
+        ("[[3,1],[1,4]]", "diagonal of T must be integral (doubled even)"),
+    ):
+        argv = ("lattice", "reduce", "--doubled", doubled)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_lattice_reduce_reads_no_lattice(capsys):

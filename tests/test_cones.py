@@ -544,19 +544,24 @@ def test_span_dimension_examples():
     assert span_dimension(Cone(())) == 0
 
 
-def test_ray_and_cone_equality_ignore_weight():
-    r = Ray((Fraction(4), Fraction(-2)), 18)
-    assert r.weight == 18 and r.key == (2, -1)
+def test_ray_and_cone_compare_their_one_field():
+    r = Ray((Fraction(4), Fraction(-2)))
+    assert r.key == (2, -1)
     assert r == Ray(r.canonical) and hash(r) == hash(Ray(r.canonical))
-    assert r != Ray(r.canonical[::-1], 18)
-    assert len({r, Ray(r.canonical, 26)}) == 1
-    assert repr(r) == "Ray(key=(2, -1), weight=18)"
+    assert r != Ray(r.canonical[::-1])
+    assert len({r, Ray((2, -1)), Ray((Fraction(1, 3), Fraction(-1, 6)))}) == 1
+    assert repr(r) == "Ray(key=(2, -1))"
     c = cone_of((1, 0), (0, 1))
-    tagged = Cone(c.generators, 18)
-    assert c == tagged and hash(c) == hash(tagged)
+    same = Cone(c.generators)
+    assert c == same and hash(c) == hash(same)
     assert c != cone_of((0, 1), (1, 0))
     # generators keep their own weight, which ClassVector does compare
     assert Cone((ClassVector(18, (1, 0)),)) != cone_of((1, 0))
+    # neither record takes a weight tag
+    with pytest.raises(TypeError):
+        Ray(r.canonical, 18)
+    with pytest.raises(TypeError):
+        Cone(c.generators, 18)
 
 
 def test_cone_rejects_bad_generators():
@@ -666,9 +671,8 @@ def test_half_cone_is_a_prefix_of_the_cone(k, max_m):
     cone = accumulation_cone_model(k, max_m, basis)
     half_m = max(1, max_m // 2)
     half = accumulation_cone_model(k, half_m, basis)
-    prefix = Cone(cone.generators[:half_m + 1], k)
-    assert prefix.generators == half.generators
-    assert prefix.weight == half.weight == k
+    prefix = Cone(cone.generators[:half_m + 1])
+    assert prefix == half
 
 
 def test_accumulation_cone_rank_stabilizes():

@@ -10,18 +10,15 @@ from cyclecones.lattice import (
     build_even_unimodular,
     common_component_family,
     gauss_reduce,
-    gram_to_json,
     inner,
     is_positive_definite,
     is_primitive,
-    lattice_determinant,
-    lattice_signature,
     moment_matrix,
     norm_q,
     transform,
     vector_of_norm,
 )
-from cyclecones.linalg import det
+from cyclecones.linalg import det, gram_signature
 from oracles import rand_gl2, rand_gln
 
 
@@ -33,13 +30,13 @@ def test_e8_block():
 def test_build_examples():
     lat = build_even_unimodular(10)
     assert lat.rank == 12
-    assert lattice_determinant(lat) == 1
-    assert lattice_signature(lat) == (10, 2)
+    assert det(lat.gram) == 1
+    assert gram_signature(lat.gram) == (10, 2)
 
     lat18 = build_even_unimodular(18)
     assert lat18.rank == 20
-    assert lattice_determinant(lat18) == 1
-    assert lattice_signature(lat18) == (18, 2)
+    assert det(lat18.gram) == 1
+    assert gram_signature(lat18.gram) == (18, 2)
 
     for bad in (11, 12, 16, 2, 9):
         with pytest.raises(ValueError):
@@ -243,10 +240,17 @@ def test_common_component_family():
         common_component_family(lat, 3, 1)
 
 
-def test_json_serialization():
+def test_json_serialization(capsys):
     import json
 
-    lat = build_even_unimodular(10)
-    doc = json.loads(gram_to_json(lat))
-    assert doc["rank"] == 12 and doc["signature"] == [10, 2]
-    assert doc["gram"][0][1] == 1
+    from cyclecones.cli import main
+
+    for n in (10, 18):
+        lat = build_even_unimodular(n)
+        assert main(["lattice", "build", "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        doc = {"gram": lat.gram, "rank": lat.rank, "signature": lat.signature}
+        assert out == json.dumps(doc, sort_keys=True) + "\n"
+        doc = json.loads(out)
+        assert doc["rank"] == n + 2 and doc["signature"] == [n, 2]
+        assert doc["gram"][0][1] == 1

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from cyclecones import qseries
 from cyclecones.qseries import (
+    QSeries,
     _mul,
     dim_mk,
     dump_miller_basis,
@@ -50,13 +52,15 @@ def test_eisenstein_matches_brute_force_divisor_sums():
         assert eisenstein(k, 300).coefficients == eisenstein_ints(k, 300), k
 
 
-def test_integer_eisenstein_needs_an_integral_scale():
-    for k in range(4, 61, 2):
-        if k in (4, 6, 8, 10, 14):
-            assert qseries._eisenstein_ints(k, 50) == list(eisenstein_ints(k, 50))
-        else:  # -2k/B_k is not an int
-            with pytest.raises(ArithmeticError, match="integer coefficients"):
-                qseries._eisenstein_ints(k, 50)
+def test_eisenstein_is_integral_exactly_where_its_scale_is():
+    for k in range(4, 41, 2):
+        coefficients = eisenstein(k, 50).coefficients
+        types = {type(c) for c in coefficients}
+        if k in (4, 6, 8, 10, 14):  # -2k/B_k is an int
+            assert types == {int}, k
+            assert coefficients == eisenstein_ints(k, 50), k
+        else:
+            assert types == {Fraction}, k
 
 
 def test_eisenstein_rejects_bad_weight():
@@ -100,8 +104,8 @@ def delta(precision):
     """Delta's coefficients through qseries' own integer helpers, read at
     call time so that a test can replace one of them."""
     return qseries._delta_ints(
-        qseries._eisenstein_ints(4, precision),
-        qseries._eisenstein_ints(6, precision),
+        qseries.eisenstein(4, precision).coefficients,
+        qseries.eisenstein(6, precision).coefficients,
     )
 
 
@@ -111,7 +115,7 @@ def test_delta_examples():
 
 def test_e4_cube_minus_e6_square_is_cuspidal_multiple_of_1728():
     n = 200
-    e4, e6 = qseries._eisenstein_ints(4, n), qseries._eisenstein_ints(6, n)
+    e4, e6 = eisenstein(4, n).coefficients, eisenstein(6, n).coefficients
     diff = [
         x - y for x, y in zip(_mul(_mul(e4, e4), e4), _mul(e6, e6))
     ]
@@ -203,15 +207,16 @@ def test_miller_certificate_rejects_a_wrong_delta(monkeypatch, wrong_delta):
 
 
 def test_delta_rejects_an_inexact_1728_division(monkeypatch):
-    real = qseries._eisenstein_ints
+    real = qseries.eisenstein
 
     def wrong_e6(k, precision):
         out = real(k, precision)
         if k == 6:
-            out[3] += 1
+            c = out.coefficients
+            out = QSeries(k, (*c[:3], c[3] + 1, *c[4:]))
         return out
 
-    monkeypatch.setattr(qseries, "_eisenstein_ints", wrong_e6)
+    monkeypatch.setattr(qseries, "eisenstein", wrong_e6)
     for build in (lambda: delta(10), lambda: miller_basis(12, 10)):
         with pytest.raises(ArithmeticError, match="not divisible by 1728"):
             build()
