@@ -23,8 +23,8 @@ from cyclecones import (
 for n in (10, 34, 66):
     k = weight_for_signature(n)
     basis = miller_basis(k, 201)
-    cone = accumulation_cone_model(k, 200, basis)
-    half = accumulation_cone_model(k, 100, basis)
+    cone = accumulation_cone_model(basis, 200)
+    half = accumulation_cone_model(basis, 100)
     rays = extremal_rays(cone)
     print(f"signature ({n}, 2), weight {k}: dim M_k = {dim_mk(k)}")
     print(f"  generators: {len(cone.generators)} (omega + P_1..P_200)")
@@ -39,7 +39,7 @@ for n in (10, 34, 66):
 
 # tiny cone with an exact separating functional
 k = 18
-cone = accumulation_cone_model(k, 30, miller_basis(k, 32))
+cone = accumulation_cone_model(miller_basis(k, 32), 30)
 y = pointedness_witness(cone)
 print(f"weight {k}, M=30: separating functional y = {tuple(map(str, y))}")
 print("  <y, g> >= 1 on every generator:",

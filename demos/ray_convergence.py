@@ -18,10 +18,10 @@ from cyclecones import convergence_scan, miller_basis, omega_ray
 
 k = 18
 basis = miller_basis(k, 201)
-print(f"weight {k}, omega ray = {tuple(map(str, omega_ray(k, basis).canonical))}")
+print(f"weight {k}, omega ray = {tuple(map(str, omega_ray(basis).canonical))}")
 print()
 
-scan = dict(convergence_scan(k, range(1, 201), basis=basis))
+scan = dict(convergence_scan(basis, range(1, 201)))
 print(" m      exact distance                    float")
 for m in (1, 2, 3, 5, 11, 19, 23, 50, 100, 199):
     d = scan[m]
@@ -38,4 +38,4 @@ print(f"max distance on [100, 200]: {float(tail):.3e}  (< 1e-6: {tail < Fraction
 
 print()
 print("weight 6 (one-dimensional space): every ray IS the omega ray")
-print("distances:", [str(d) for _, d in convergence_scan(6, range(1, 8))])
+print("distances:", [str(d) for _, d in convergence_scan(miller_basis(6, 8), range(1, 8))])

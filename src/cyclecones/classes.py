@@ -53,8 +53,8 @@ class FunctionalCombo(_Record):
     """Finite combination sum_m a_m c_m of coefficient functionals.
 
     Terms are stored sorted by index with zero coefficients dropped; an
-    int or Fraction coefficient is kept as given, any other value is
-    converted by Fraction.
+    int or Fraction coefficient is kept as given, another rational is
+    converted by Fraction, and a float or a str raises TypeError.
     """
 
     __slots__ = ("weight", "terms")
@@ -86,16 +86,14 @@ class FunctionalCombo(_Record):
 class ClassVector(_Record):
     """Coordinates of a functional in the basis dual to a Miller basis.
 
-    An int or Fraction coordinate is kept as given; any other value is
-    converted by Fraction.
+    An int or Fraction coordinate is kept as given; another rational is
+    converted by Fraction, and a float or a str raises TypeError.
     """
 
-    __slots__ = ("weight", "coords")
+    __slots__ = ("coords",)
 
-    def __init__(
-        self, weight: int | None, coords: tuple[int | Fraction, ...]
-    ) -> None:
-        super().__init__(weight, _exact(coords))
+    def __init__(self, coords: tuple[int | Fraction, ...]) -> None:
+        super().__init__(_exact(coords))
 
     @property
     def dimension(self) -> int:
@@ -167,7 +165,7 @@ def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
         sum(a * f.coefficients[m] for m, a in combo.terms)
         for f in basis.basis
     )
-    return ClassVector(combo.weight, coords)
+    return ClassVector(coords)
 
 
 class IdentityReport(_Record):

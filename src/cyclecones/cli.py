@@ -68,20 +68,12 @@ def _resolve_weight(n, weight) -> tuple[int, int, bool]:
 
 
 def _build_config(args) -> None:
-    """Check the options and write the resolved weight, n, physical flag
-    and precision onto args."""
+    """Check the options and write the resolved weight, n and physical
+    flag onto args."""
     args.weight, args.n, args.physical = _resolve_weight(args.n, args.weight)
     max_m = args.max_m
     if max_m < 0:
         raise UsageError(f"--max-m must be >= 0, got {max_m}")
-    precision = args.precision
-    if precision is None:
-        precision = max_m + 1
-    if precision < max_m + 1:
-        raise UsageError(
-            f"--precision {precision} too small: need at least max-m + 1 = "
-            f"{max_m + 1}"
-        )
     if args.command == "cone" and max_m < 1:
         raise UsageError("cone reports need --max-m >= 1")
     if args.cache_dir is not None:
@@ -89,11 +81,13 @@ def _build_config(args) -> None:
             Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"cannot use --cache-dir {args.cache_dir}: {exc}")
-    args.precision = precision
 
 
 def _warn(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    """Print msg to stderr; with no stderr (file descriptor 2 closed at
+    start) print nothing, as print would fall back to stdout."""
+    if sys.stderr is not None:
+        print(msg, file=sys.stderr)
 
 
 def _note_physicality(args) -> None:
@@ -105,7 +99,9 @@ def _note_physicality(args) -> None:
 
 
 def _cached_basis(args) -> MillerBasis:
-    """Miller basis of args.weight at args.precision, via the disk cache.
+    """Miller basis of args.weight, via the disk cache, at the precision
+    max(max-m + 1, dim M_k) that indices up to max-m and the identity
+    block need.
 
     A corrupt cache file is recomputed and overwritten with a warning;
     results are bit-identical either way.  The file is written to a
@@ -113,7 +109,7 @@ def _cached_basis(args) -> MillerBasis:
     interrupted or failed write never leaves a partial cache file.
     """
     k = args.weight
-    n_prec = max(args.precision, dim_mk(k), 1)
+    n_prec = max(args.max_m + 1, dim_mk(k))
     if args.cache_dir is None:
         return miller_basis(k, n_prec)
     path = Path(args.cache_dir) / f"miller_k{k}_N{n_prec}.txt"
@@ -241,8 +237,7 @@ def cmd_converge(args) -> int:
     _note_physicality(args)
     basis = _cached_basis(args)
     rows = convergence_scan(
-        args.weight, range(1, args.max_m + 1), primitive=args.primitive,
-        basis=basis,
+        basis, range(1, args.max_m + 1), primitive=args.primitive
     )
     if args.format == "csv":
         _print_csv(
@@ -277,13 +272,13 @@ def cmd_cone(args) -> int:
     """Span dimension, pointedness, extremal rays, and a stabilization
     comparison at max_m/2 versus max_m for the truncated cone model."""
     basis = _cached_basis(args)
-    cone = accumulation_cone_model(args.weight, args.max_m, basis)
+    cone = accumulation_cone_model(basis, args.max_m)
     half_m = max(1, args.max_m // 2)
     # the generators are omega, then P_1 .. P_max_m: the half cone's prefix
     half_cone = Cone(cone.generators[:half_m + 1])
     doc = {
         "dim": span_dimension(cone),
-        "expected_dim": dim_mk(args.weight),
+        "expected_dim": basis.dimension,
         "generator_count": len(cone.generators),
         "half_max_m": half_m,
         "max_m": args.max_m,
@@ -329,10 +324,6 @@ def cmd_lattice(args) -> int:
     if args.subcommand == "reduce":  # a reduction reads no lattice
         rows = _parse_int_matrix(args.doubled, "--doubled")
         t = HalfIntegralMatrix(tuple(tuple(r) for r in rows))
-        if t.dimension != 2 or not is_positive_definite(t):
-            raise UsageError(
-                "reduction needs a positive definite binary matrix"
-            )
         reduced, u = gauss_reduce(t)
         doc = {
             "det": _frac_str(t.determinant()),
@@ -407,33 +398,26 @@ def _build_parser() -> argparse.ArgumentParser:
     add_weight_args(p_id)
     p_id.add_argument("--max-m", type=int, default=200)
     p_id.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_id.set_defaults(run=cmd_identities, precision=None, cache_dir=None)
+    p_id.set_defaults(run=cmd_identities, cache_dir=None)
 
     p_conv = sub.add_parser(
         "converge", help="exact ray distances toward the Kähler ray"
     )
     add_weight_args(p_conv)
     p_conv.add_argument("--max-m", type=int, default=200)
-    p_conv.add_argument("--precision", type=int)
     p_conv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_conv.add_argument("--cache-dir")
-    p_conv.set_defaults(run=cmd_converge)
-    flag = p_conv.add_mutually_exclusive_group()
-    flag.add_argument(
-        "--primitive", dest="primitive", action="store_true", default=True,
-        help="scan primitive Heegner classes (default)",
-    )
-    flag.add_argument(
+    p_conv.add_argument(
         "--full", dest="primitive", action="store_false",
-        help="scan full Heegner classes instead",
+        help="scan full Heegner classes instead of primitive ones",
     )
+    p_conv.set_defaults(run=cmd_converge)
 
     p_cone = sub.add_parser(
         "cone", help="truncated accumulation-cone report (JSON)"
     )
     add_weight_args(p_cone)
     p_cone.add_argument("--max-m", type=int, default=200)
-    p_cone.add_argument("--precision", type=int)
     p_cone.add_argument("--cache-dir")
     p_cone.set_defaults(run=cmd_cone)
 

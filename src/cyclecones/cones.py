@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 from .classes import (
     ClassVector,
@@ -24,8 +23,8 @@ from .classes import (
     primitive_heegner_class,
 )
 from .linalg import rank
-from .numtheory import _Record
-from .qseries import MillerBasis, dim_mk, miller_basis
+from .numtheory import _exact, _Record
+from .qseries import MillerBasis
 
 __all__ = [
     "Ray",
@@ -120,62 +119,48 @@ def ray_distance(r1: Ray, r2: Ray) -> Fraction:
     return Fraction(max(abs(x * b - y * a) for x, y in zip(u, v)), a * b)
 
 
-def omega_ray(k: int, basis: MillerBasis | None = None) -> Ray:
+def omega_ray(basis: MillerBasis) -> Ray:
     """Ray of the Kähler class: -e_0 in Miller-dual coordinates."""
-    d = dim_mk(k)
-    if d < 1:
-        raise ValueError(f"weight {k} has an empty form space")
-    if basis is None:
-        basis = miller_basis(k, d)
-    return Ray(coordinates(omega_class(k), basis).coords)
-
-
-def _scan_basis(k: int, min_precision: int) -> MillerBasis:
-    return miller_basis(k, max(min_precision, dim_mk(k), 1))
+    if basis.dimension < 1:
+        raise ValueError(f"weight {basis.weight} has an empty form space")
+    return Ray(coordinates(omega_class(basis.weight), basis).coords)
 
 
 def convergence_scan(
-    k: int,
-    m_set,
-    primitive: bool = True,
-    basis: MillerBasis | None = None,
+    basis: MillerBasis, m_set, primitive: bool = True
 ) -> list[tuple[int, Fraction]]:
     """Exact ray distances toward the Kähler ray, one row per index m.
 
-    For each m the (primitive) Heegner class ray is compared with the
-    omega ray in the L-infinity ray metric.  The distances tend to 0 for
-    k = 2 mod 4; for k = 0 mod 4 the Eisenstein sign flips and the limit
-    ray is +e_0 instead, so distances approach 2 (a class's
-    Ray(coordinates(combo, basis).coords) shows the limit attained).
+    For each m the (primitive) Heegner class ray of the basis weight is
+    compared with the omega ray in the L-infinity ray metric.  The
+    distances tend to 0 for k = 2 mod 4; for k = 0 mod 4 the Eisenstein
+    sign flips and the limit ray is +e_0 instead, so distances approach 2
+    (a class's Ray(coordinates(combo, basis).coords) shows the limit
+    attained).
     """
     m_set = list(m_set)
     if any(m < 1 for m in m_set):
         raise ValueError("scan indices must be >= 1")
-    if basis is None:
-        basis = _scan_basis(k, max(m_set, default=0) + 1)
-    target = omega_ray(k, basis)
+    target = omega_ray(basis)
     build = primitive_heegner_class if primitive else heegner_class
     out = []
     for m in m_set:
-        ray = Ray(coordinates(build(m, k), basis).coords)
+        ray = Ray(coordinates(build(m, basis.weight), basis).coords)
         out.append((m, ray_distance(ray, target)))
     return out
 
 
-def accumulation_cone_model(
-    k: int, truncation: int, basis: MillerBasis | None = None
-) -> Cone:
-    """Truncated model of the accumulation cone at weight k.
+def accumulation_cone_model(basis: MillerBasis, truncation: int) -> Cone:
+    """Truncated model of the accumulation cone at the basis weight.
 
     Generated by the omega class together with the primitive Heegner
     classes of index 1..truncation, all in Miller-dual coordinates.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if dim_mk(k) < 1:
-        raise ValueError(f"weight {k} has an empty form space")
-    if basis is None:
-        basis = _scan_basis(k, truncation + 1)
+    if basis.dimension < 1:
+        raise ValueError(f"weight {basis.weight} has an empty form space")
+    k = basis.weight
     gens = [coordinates(omega_class(k), basis)]
     for m in range(1, truncation + 1):
         gens.append(coordinates(primitive_heegner_class(m, k), basis))
@@ -277,13 +262,7 @@ def _phase1(A, b, den, n):
 def _integral(coef, rhs):
     """(coefficients, rhs, den): the row times den, the positive lcm of its
     denominators, as ints; the feasible set is unchanged."""
-    entries = (*coef, rhs)
-    for x in entries:
-        # the type test first: isinstance against an ABC is slow
-        if type(x) is not int and not isinstance(x, Rational):
-            raise TypeError(
-                f"LP coefficient {x!r} is not rational (int or Fraction)"
-            )
+    entries = _exact((*coef, rhs))
     den = lcm(*(x.denominator for x in entries))
     ints = [x.numerator * (den // x.denominator) for x in entries]
     return ints[:-1], ints[-1], den

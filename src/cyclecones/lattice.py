@@ -178,10 +178,8 @@ def gauss_reduce(
     uses the determinant -1 element diag(1, -1), which is what makes
     GL_2(Z)-translates land on one representative.
     """
-    if t.dimension != 2:
-        raise ValueError("Gauss reduction is implemented for d = 2 only")
-    if not is_positive_definite(t):
-        raise ValueError("Gauss reduction needs a positive definite matrix")
+    if t.dimension != 2 or not is_positive_definite(t):
+        raise ValueError("reduction needs a positive definite binary matrix")
     a, b, c = t.doubled[0][0] // 2, t.doubled[0][1], t.doubled[1][1] // 2
     u = ((1, 0), (0, 1))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt
+from numbers import Rational
 from operator import attrgetter
 
 __all__ = [
@@ -74,12 +75,19 @@ class _Record:
 
 
 def _exact(values) -> tuple[int | Fraction, ...]:
-    """The values as a tuple, an int or a Fraction kept as given and any
-    other value converted by Fraction."""
+    """The values as a tuple: an int or a Fraction kept as given, any other
+    numbers.Rational converted by Fraction, and anything else (a float, a
+    Decimal, a str) a TypeError, so no inexact value enters a decision."""
     return tuple(
-        c if type(c) is int or type(c) is Fraction else Fraction(c)
+        c if type(c) is int or type(c) is Fraction else _rational(c)
         for c in values
     )
+
+
+def _rational(c) -> Fraction:
+    if not isinstance(c, Rational):
+        raise TypeError(f"{c!r} is not rational (int or Fraction)")
+    return Fraction(c)
 
 
 def factorize(m: int) -> tuple[tuple[int, int], ...]:

@@ -28,9 +28,10 @@ __all__ = [
 class QSeries(_Record):
     """Truncated q-expansion: coefficients of q^0 .. q^(N-1), exact.
 
-    An int or Fraction coefficient is kept as given; any other value is
-    converted by ``Fraction``.  The weight is a tag; series products are
-    taken on integer coefficient lists by ``_mul``.
+    An int or Fraction coefficient is kept as given; another rational is
+    converted by ``Fraction``, and a float or a str raises TypeError.  The
+    weight is a tag; series products are taken on integer coefficient
+    lists by ``_mul``.
     """
 
     __slots__ = ("weight", "coefficients")

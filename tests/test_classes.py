@@ -1,5 +1,6 @@
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -97,13 +98,28 @@ def test_integer_combinations_have_int_coordinates():
 
 
 def test_class_vector_keeps_exact_values():
-    v = ClassVector(6, (3, Fraction(1, 2), Fraction(4, 2), -1))
+    v = ClassVector((3, Fraction(1, 2), Fraction(4, 2), -1))
     assert [type(c) for c in v.coords] == [int, Fraction, Fraction, int]
     assert v.coords == (3, Fraction(1, 2), 2, -1)
-    assert ClassVector(6, (Fraction(3), 1)) == ClassVector(6, (3, 1))
-    combo = FunctionalCombo(6, ((3, 2), (2, Fraction(4, 2)), (1, 0.5)))
-    assert combo.terms == ((1, Fraction(1, 2)), (2, 2), (3, 2))
-    assert [type(a) for _, a in combo.terms] == [Fraction, Fraction, int]
+    assert ClassVector((Fraction(3), 1)) == ClassVector((3, 1))
+    combo = FunctionalCombo(6, ((3, 2), (2, Fraction(4, 2))))
+    assert combo.terms == ((2, 2), (3, 2))
+    assert [type(a) for _, a in combo.terms] == [Fraction, int]
+    with pytest.raises(TypeError, match="0.5 is not rational"):
+        FunctionalCombo(6, ((3, 2), (1, 0.5)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Decimal("0.5"), "1/3"])
+@pytest.mark.parametrize("build", [
+    lambda x: QSeries(6, (1, x)),
+    lambda x: FunctionalCombo(6, ((1, x),)),
+    lambda x: ClassVector((1, x)),
+], ids=["QSeries", "FunctionalCombo", "ClassVector"])
+def test_records_reject_values_that_are_not_rational(build, bad):
+    # Fraction(0.1) is the binary float, not 1/10: no float may enter an
+    # exact decision through a record
+    with pytest.raises(TypeError, match="is not rational"):
+        build(bad)
 
 
 def test_coordinates_at_weight_12():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SRC
+from conftest import ROOT, SRC
 from cyclecones import classes, cli, cones
 from cyclecones.classes import eisenstein_identity_scan
 from cyclecones.cli import main
+from cyclecones.qseries import miller_basis
 from oracles import identities_csv_text, identities_json_text, print_csv_text
 
 
@@ -131,7 +133,7 @@ def test_identities_usage_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ("identities", "--n", "10", "--max-m", str(10**21)),
     ("converge", "--n", "10", "--max-m", str(10**21)),
-    ("cone", "--n", "10", "--max-m", "3", "--precision", str(10**21)),
+    ("cone", "--n", "10", "--max-m", str(10**21)),
 ])
 def test_size_too_large_to_allocate_exits_2(capsys, argv):
     # a list of that length cannot be asked for: it fails before allocating
@@ -204,7 +206,9 @@ def test_converge_csv_is_the_former_printing(capsys, max_m):
         [["m", "distance_num", "distance_den", "distance_float"]]
         + [
             [m, d.numerator, d.denominator, repr(float(d))]
-            for m, d in cones.convergence_scan(18, range(1, max_m + 1))
+            for m, d in cones.convergence_scan(
+                miller_basis(18, max(max_m + 1, 2)), range(1, max_m + 1)
+            )
         ]
     )
 
@@ -311,12 +315,30 @@ def test_converge_weight_6_zeros(capsys):
     assert rows == [f"{m},0,1,0.0" for m in range(1, 5)]
 
 
-def test_converge_precision_guard_before_work(capsys):
-    code, _, err = run(
-        capsys, "converge", "--n", "10", "--max-m", "50", "--precision", "10"
-    )
-    assert code == 2
-    assert "precision" in err
+@pytest.mark.parametrize("argv", [
+    ("converge", "--precision", "10"),
+    ("cone", "--precision", "10"),
+    ("converge", "--primitive"),
+], ids=["converge-precision", "cone-precision", "converge-primitive"])
+def test_removed_options_are_usage_errors(capsys, argv):
+    # the basis precision follows from --max-m, and primitive classes are
+    # the default that --full turns off
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "10", "--max-m", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("max_m, name", [
+    (0, "miller_k26_N2.txt"), (40, "miller_k26_N41.txt"),
+])
+def test_basis_precision_follows_max_m(tmp_path, capsys, max_m, name):
+    # max(max-m + 1, dim M_26 = 2): indices up to max-m and the identity
+    # block
+    argv = ("converge", "--n", "50", "--max-m", str(max_m),
+            "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    assert [f.name for f in tmp_path.iterdir()] == [name]
 
 
 def test_converge_nonphysical_weight_notice(capsys):
@@ -330,9 +352,7 @@ def test_converge_full_vs_primitive(capsys):
         capsys, "converge", "--weight", "18", "--max-m", "4", "--full"
     )
     assert code == 0
-    code, prim, _ = run(
-        capsys, "converge", "--weight", "18", "--max-m", "4", "--primitive"
-    )
+    code, prim, _ = run(capsys, "converge", "--weight", "18", "--max-m", "4")
     assert code == 0
     assert full.splitlines()[:4] == prim.splitlines()[:4]  # header + 1..3
     assert full.splitlines()[4] != prim.splitlines()[4]  # m = 4 differs
@@ -562,17 +582,27 @@ def test_stdout_closed_before_a_short_output_exits_141_quietly():
         assert proc.wait(timeout=300) == 141
 
 
-def test_closed_stdout_at_start_exits_2_before_any_work(tmp_path):
-    # a process started with file descriptor 1 closed has sys.stdout None;
-    # the trampoline closes it and then execs the CLI in its place
+def _cli_with_fd_closed(fd, *argv):
+    """Run the CLI in a process started with file descriptor fd closed,
+    so that sys.stdout (fd 1) or sys.stderr (fd 2) is None; the
+    trampoline closes fd and then execs the CLI in its place.  The other
+    of stdout and stderr is captured."""
     close_and_run = (
-        "import os, sys; os.close(1); "
+        f"import os, sys; os.close({fd}); "
         "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
+    other = "stderr" if fd == 1 else "stdout"
+    return subprocess.run(
+        [sys.executable, "-c", close_and_run, "-m", "cyclecones.cli", *argv],
+        env=env, timeout=300, **{other: subprocess.PIPE},
+    )
+
+
+def test_closed_stdout_at_start_exits_2_before_any_work(tmp_path):
     cache = tmp_path / "cache"
     for argv in (
         ("lattice", "build", "--n", "10"),
@@ -580,15 +610,22 @@ def test_closed_stdout_at_start_exits_2_before_any_work(tmp_path):
         ("identities", "--n", "10", "--max-m", "5", "--format", "json"),
         ("converge", "--n", "18", "--max-m", "5", "--cache-dir", str(cache)),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-c", close_and_run, "-m", "cyclecones.cli",
-             *argv],
-            stderr=subprocess.PIPE, env=env, timeout=300,
-        )
+        proc = _cli_with_fd_closed(1, *argv)
         assert (proc.returncode, proc.stderr) == (
             2, b"error: stdout is closed\n"
         ), argv
     assert not cache.exists()  # the options were not even read
+
+
+def test_closed_stderr_at_start_puts_no_message_on_stdout(capsys):
+    # with sys.stderr None, print(msg, file=sys.stderr) writes to stdout
+    proc = _cli_with_fd_closed(2, "identities", "--n", "11")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    argv = ("converge", "--weight", "16", "--max-m", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, err.startswith("note: ")) == (0, True)
+    proc = _cli_with_fd_closed(2, *argv)
+    assert (proc.returncode, proc.stdout) == (0, out.encode())
 
 
 def test_unreadable_cache_file_exits_2(tmp_path, capsys):
@@ -603,6 +640,19 @@ def test_unreadable_cache_file_exits_2(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "miller_k6_N6.txt" in err
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # the cyclecones lines of the README's CLI block, each run as written
+    # but for its cache directory; a removed option would exit 2
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n")[1].split("```sh\n")[1].split("```")[0]
+    lines = [shlex.split(line, comments=True)
+             for line in block.splitlines() if line.startswith("cyclecones ")]
+    assert len(lines) >= 9
+    for argv in lines:
+        argv = [str(tmp_path) if a == ".cache" else a for a in argv[1:]]
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_lattice_build(capsys):
@@ -635,10 +685,14 @@ def test_lattice_reduce(capsys):
     assert doc["reduced_rows"] == [[2, 1], [1, 4]]
     assert doc["det"] == "7/4"
 
-    code, _, err = run(
-        capsys, "lattice", "reduce", "--n", "10", "--doubled", "[[2,2],[2,2]]"
-    )
-    assert code == 2 and "positive definite" in err
+    # semidefinite, indefinite, and not binary
+    for doubled in (
+        "[[2,2],[2,2]]", "[[2,3],[3,2]]", "[[2,0,0],[0,2,0],[0,0,2]]"
+    ):
+        argv = ("lattice", "reduce", "--n", "10", "--doubled", doubled)
+        assert run(capsys, *argv) == (
+            2, "", "error: reduction needs a positive definite binary matrix\n"
+        )
 
     # HalfIntegralMatrix's ValueError is an input error like any other
     for doubled, message in (

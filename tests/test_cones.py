@@ -48,7 +48,7 @@ rationals = st.fractions(min_value=-8, max_value=8, max_denominator=10)
 
 
 def vec(*coords):
-    return ClassVector(None, tuple(Fraction(c) for c in coords))
+    return ClassVector(tuple(Fraction(c) for c in coords))
 
 
 def ray(*coords):
@@ -264,7 +264,7 @@ def test_convergence_scan_builds_one_fraction_per_index():
     basis = miller_basis(66, 1001)
     counts = [
         _fractions_built(
-            lambda: convergence_scan(66, range(1, top + 1), basis=basis)
+            lambda: convergence_scan(basis, range(1, top + 1))
         )
         for top in (500, 1000)
     ]
@@ -272,11 +272,11 @@ def test_convergence_scan_builds_one_fraction_per_index():
 
 
 def test_omega_ray():
-    assert omega_ray(6).canonical == (-1,)
-    assert omega_ray(12).canonical == (-1, 0)
-    assert omega_ray(18).canonical == (-1, 0)
+    assert omega_ray(miller_basis(6, 1)).canonical == (-1,)
+    assert omega_ray(miller_basis(12, 2)).canonical == (-1, 0)
+    assert omega_ray(miller_basis(18, 2)).canonical == (-1, 0)
     with pytest.raises(ValueError):
-        omega_ray(2)
+        omega_ray(miller_basis(2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +555,13 @@ def test_ray_and_cone_compare_their_one_field():
     same = Cone(c.generators)
     assert c == same and hash(c) == hash(same)
     assert c != cone_of((0, 1), (1, 0))
-    # generators keep their own weight, which ClassVector does compare
-    assert Cone((ClassVector(18, (1, 0)),)) != cone_of((1, 0))
-    # neither record takes a weight tag
+    # no record takes a weight tag, generators included
     with pytest.raises(TypeError):
         Ray(r.canonical, 18)
     with pytest.raises(TypeError):
         Cone(c.generators, 18)
+    with pytest.raises(TypeError):
+        ClassVector(18, (1, 0))
 
 
 def test_cone_rejects_bad_generators():
@@ -615,12 +615,13 @@ def test_extremal_agrees_with_bruteforce_on_random_pointed_cones():
 
 
 def test_scan_weight_6_all_zero():
-    assert all(d == 0 for _, d in convergence_scan(6, range(1, 40)))
+    scan = convergence_scan(miller_basis(6, 40), range(1, 40))
+    assert all(d == 0 for _, d in scan)
 
 
 def test_scan_weight_18_frozen_values():
     basis = miller_basis(18, 12)
-    scan = dict(convergence_scan(18, [1, 2, 3, 4, 5, 11], basis=basis))
+    scan = dict(convergence_scan(basis, [1, 2, 3, 4, 5, 11]))
     assert scan[1] == 1
     assert scan[2] == Fraction(22, 3591)
     assert scan[3] == Fraction(17, 335616)
@@ -631,10 +632,10 @@ def test_scan_weight_18_frozen_values():
 
 def test_scan_full_heegner_differs_at_square_indices():
     basis = miller_basis(18, 12)
-    full = dict(convergence_scan(18, [4, 9], primitive=False, basis=basis))
+    full = dict(convergence_scan(basis, [4, 9], primitive=False))
     assert full[4] == Fraction(18464, 1406361285)
     assert full[9] == Fraction(4103241, 404507296686080)
-    prim = dict(convergence_scan(18, [4, 9], basis=basis))
+    prim = dict(convergence_scan(basis, [4, 9]))
     assert prim[4] != full[4] and prim[9] != full[9]
 
 
@@ -642,7 +643,7 @@ def test_scan_weight_18_broad_decay_with_fluctuation():
     # decay is broad, not termwise: consecutive primes can move up
     # (exact computation; the thinned subsequence below is monotone)
     basis = miller_basis(18, 201)
-    scan = dict(convergence_scan(18, range(1, 201), basis=basis))
+    scan = dict(convergence_scan(basis, range(1, 201)))
     assert scan[19] < scan[23]  # a real fluctuation, frozen from the scan
     thinned = [scan[m] for m in (11, 31, 101, 199)]
     assert all(a > b for a, b in zip(thinned, thinned[1:]))
@@ -652,25 +653,28 @@ def test_scan_weight_18_broad_decay_with_fluctuation():
 
 def test_accumulation_cone_small():
     basis = miller_basis(18, 52)
-    cone = accumulation_cone_model(18, 50, basis)
+    cone = accumulation_cone_model(basis, 50)
     assert len(cone.generators) == 51
     assert span_dimension(cone) == 2
     assert is_pointed(cone)
     for g in cone.generators:
         assert member(g, cone)
 
-    cone6 = accumulation_cone_model(6, 20)
+    cone6 = accumulation_cone_model(miller_basis(6, 21), 20)
     assert span_dimension(cone6) == 1
     assert extremal_rays(cone6) == {Ray((Fraction(-1),))}
+    # weight 2 has no forms, so no coordinates
+    with pytest.raises(ValueError, match="empty form space"):
+        accumulation_cone_model(miller_basis(2, 21), 20)
 
 
 @pytest.mark.parametrize("k, max_m", [(6, 1), (18, 1), (18, 2), (18, 9), (34, 40)])
 def test_half_cone_is_a_prefix_of_the_cone(k, max_m):
     # the cone report takes its half cone as this prefix
     basis = miller_basis(k, max(max_m + 1, dim_mk(k)))
-    cone = accumulation_cone_model(k, max_m, basis)
+    cone = accumulation_cone_model(basis, max_m)
     half_m = max(1, max_m // 2)
-    half = accumulation_cone_model(k, half_m, basis)
+    half = accumulation_cone_model(basis, half_m)
     prefix = Cone(cone.generators[:half_m + 1])
     assert prefix == half
 
@@ -679,7 +683,7 @@ def test_accumulation_cone_rank_stabilizes():
     basis = miller_basis(34, 40)
     d = dim_mk(34)
     ranks = [
-        span_dimension(accumulation_cone_model(34, m, basis))
+        span_dimension(accumulation_cone_model(basis, m))
         for m in range(1, 8)
     ]
     assert ranks == sorted(ranks)
@@ -694,7 +698,7 @@ def test_accumulation_cone_pointed_with_evaluation_witness():
     from cyclecones.qseries import eisenstein
 
     basis = miller_basis(18, 32)
-    cone = accumulation_cone_model(18, 30, basis)
+    cone = accumulation_cone_model(basis, 30)
     coords_e = eisenstein(18, 32).coefficients[: dim_mk(18)]
     for g in cone.generators:
         assert -sum(a * b for a, b in zip(g.coords, coords_e)) > 0
@@ -717,7 +721,7 @@ def test_extremal_sweep_work_and_observed_extremal_set(monkeypatch):
         return lp(n_vars, *args, **kwargs)
 
     monkeypatch.setattr(cones, "lp_feasible", counted)
-    cone = accumulation_cone_model(18, 200, miller_basis(18, 201))
+    cone = accumulation_cone_model(miller_basis(18, 201), 200)
     assert extremal_generators(cone) == [1, 2]
     # one is_pointed LP of 201 columns plus membership LPs of about d
     # columns each; one LP per ray against all others totals 40,401
@@ -725,5 +729,5 @@ def test_extremal_sweep_work_and_observed_extremal_set(monkeypatch):
     # an observation the code does not rely on: the extremal set is
     # P_1..P_d and the Kahler generator (index 0) is never extremal
     for k in (18, 26, 34):
-        cone = accumulation_cone_model(k, 100, miller_basis(k, 101))
+        cone = accumulation_cone_model(miller_basis(k, 101), 100)
         assert extremal_generators(cone) == list(range(1, dim_mk(k) + 1))

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,12 @@ def test_rank_examples():
     assert rank([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == 3
     # full column rank stops the scan: the third row is never read
     assert rank(iter([[1, 0], [0, 1], None])) == 2
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Decimal("0.5"), "1/3"])
+def test_rank_takes_rational_entries_only(bad):
+    with pytest.raises(TypeError, match="is not rational"):
+        rank([[1, 2], [3, bad]])
 
 
 INT_ENTRIES = [0, 0, 0, 1, -1, 2, -2, 3, -5, 7]

@@ -163,10 +163,10 @@ FROZEN = [
     QSeries(6, (1, -504)),
     MillerBasis(6, (QSeries(6, (1, -504)),)),
     heegner_class(2, 6),
-    ClassVector(6, (Fraction(1, 2),)),
+    ClassVector((Fraction(1, 2),)),
     IdentityReport(1, 10, Fraction(1), Fraction(1)),
     Ray((Fraction(1),)),
-    Cone((ClassVector(6, (Fraction(1, 2),)),)),
+    Cone((ClassVector((Fraction(1, 2),)),)),
     build_even_unimodular(10),
     HalfIntegralMatrix(((2, 1), (1, 2))),
     common_component_family(build_even_unimodular(10), 3, 2)[0],
