@@ -12,10 +12,11 @@ which is never zero.  Everything below is exact rational arithmetic; the
 two sides of each identity are computed by independent routes.
 """
 
+from fractions import Fraction
+
 from cyclecones import (
     eisenstein,
-    eisenstein_coefficient_identity,
-    primitive_eisenstein_identity,
+    eisenstein_identity_scan,
     primitive_heegner_class,
     weight_for_signature,
     zeta_negative,
@@ -26,17 +27,23 @@ k = weight_for_signature(n)
 print(f"signature ({n}, 2)  ->  weight k = {k},  zeta(-{n//2}) = {zeta_negative(n//2)}")
 print()
 
-series = eisenstein(k, 201)
+series = eisenstein(k, 4)
 print(f"E_{k} = 1 " + " ".join(
     f"{'+' if c > 0 else '-'} {abs(c)} q^{i}"
     for i, c in enumerate(series.coefficients[:4]) if i
 ) + " + ...")
 print()
 
+# rows (check, m, lhs, rhs, equal), both sides written p/q in lowest terms
+rows = {
+    (check, m): (Fraction(lhs), Fraction(rhs), equal)
+    for check, m, lhs, rhs, equal in eisenstein_identity_scan(n, 100)
+}
+
 print("coefficient identity, q-expansion vs closed form:")
 for m in (1, 2, 6, 12):
-    r = eisenstein_coefficient_identity(m, n, series)
-    print(f"  m={m:3d}:  c_m(E) = {r.lhs}  closed form = {r.rhs}  equal: {r.equal}")
+    lhs, rhs, equal = rows["coefficient", m]
+    print(f"  m={m:3d}:  c_m(E) = {lhs}  closed form = {rhs}  equal: {equal}")
 print()
 
 print("primitive classes as Moebius combinations:")
@@ -48,16 +55,11 @@ print()
 
 print("primitive evaluation vs Euler product (both exact):")
 for m in (1, 2, 4, 36, 100):
-    r = primitive_eisenstein_identity(m, n, series)
-    print(f"  m={m:3d}:  lhs = {r.lhs}  rhs = {r.rhs}  equal: {r.equal}")
+    lhs, rhs, equal = rows["primitive", m]
+    print(f"  m={m:3d}:  lhs = {lhs}  rhs = {rhs}  equal: {equal}")
 
 print()
 print("scan m <= 200 on three signatures:")
 for n in (10, 18, 26):
-    series = eisenstein(weight_for_signature(n), 201)
-    ok = all(
-        eisenstein_coefficient_identity(m, n, series).equal
-        and primitive_eisenstein_identity(m, n, series).equal
-        for m in range(1, 201)
-    )
+    ok = all(row[4] for row in eisenstein_identity_scan(n, 200))
     print(f"  n={n}: all 400 comparisons exactly equal: {ok}")

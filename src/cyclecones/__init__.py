@@ -6,15 +6,10 @@ with an exact LP core, and even-unimodular lattice combinatorics."""
 from .classes import (
     ClassVector,
     FunctionalCombo,
-    IdentityReport,
     coordinates,
-    eisenstein_coefficient_identity,
     eisenstein_identity_scan,
     heegner_class,
-    heegner_from_primitive,
-    limit_prefactor,
     omega_class,
-    primitive_eisenstein_identity,
     primitive_heegner_class,
     weight_for_signature,
 )
@@ -28,7 +23,6 @@ from .cones import (
     extremal_rays,
     is_pointed,
     lp_feasible,
-    member,
     omega_ray,
     pointedness_witness,
     ray_distance,
@@ -50,9 +44,6 @@ from .lattice import (
 from .numtheory import (
     bernoulli,
     factorize,
-    moebius,
-    sigma,
-    square_divisors,
     zeta_negative,
 )
 from .qseries import (

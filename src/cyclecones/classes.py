@@ -11,31 +11,25 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 from .numtheory import (
     _exact,
     _Record,
     _sigma,
     factorize,
-    square_divisors,
     zeta_negative,
 )
-from .qseries import MillerBasis, QSeries, _divisor_sums, _eisenstein_scale
+from .qseries import MillerBasis, _divisor_sums, _eisenstein_scale
 
 __all__ = [
     "FunctionalCombo",
     "ClassVector",
-    "IdentityReport",
     "heegner_class",
     "omega_class",
     "primitive_heegner_class",
-    "heegner_from_primitive",
     "coordinates",
-    "eisenstein_coefficient_identity",
-    "primitive_eisenstein_identity",
     "eisenstein_identity_scan",
-    "limit_prefactor",
     "weight_for_signature",
 ]
 
@@ -73,14 +67,6 @@ class FunctionalCombo(_Record):
 
     def max_index(self) -> int:
         return self.terms[-1][0] if self.terms else 0
-
-    def __add__(self, other: "FunctionalCombo") -> "FunctionalCombo":
-        if self.weight != other.weight:
-            raise ValueError("weight mismatch")
-        acc = dict(self.terms)
-        for m, a in other.terms:
-            acc[m] = acc.get(m, 0) + a
-        return FunctionalCombo(self.weight, tuple(acc.items()))
 
 
 class ClassVector(_Record):
@@ -136,16 +122,6 @@ def _primitive_terms(m: int, pairs) -> list[tuple[int, int]]:
     return terms
 
 
-def heegner_from_primitive(m: int, k: int) -> FunctionalCombo:
-    """Rebuild H_m as the sum of P_{m/t^2} over square divisors, expanded."""
-    if m < 1:
-        raise ValueError(f"Heegner index must be >= 1, got {m}")
-    out = FunctionalCombo(k, ())
-    for t in square_divisors(m):
-        out = out + primitive_heegner_class(m // (t * t), k)
-    return out
-
-
 def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
     """Coordinate i is the combo applied to the i-th Miller basis element.
 
@@ -168,16 +144,6 @@ def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
     return ClassVector(coords)
 
 
-class IdentityReport(_Record):
-    """Two exact evaluations of one quantity, and whether they agree."""
-
-    __slots__ = ("m", "n", "lhs", "rhs")
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
 def _identity_sides(m: int, s: int, pairs, coeffs):
     """(q-expansion side, closed-form side) of the coefficient and the
     primitive check at m, m factored as pairs and s = n/2, before scaling:
@@ -194,50 +160,6 @@ def _identity_sides(m: int, s: int, pairs, coeffs):
     return (coeffs[m], _sigma(pairs, s)), (primitive, euler)
 
 
-def _identity_report(
-    m: int, n: int, series: QSeries | None, check: int
-) -> IdentityReport:
-    """Check number `check` (0 coefficient, 1 primitive) of _identity_sides
-    at m, in Fractions; the q-expansion side reads the given series of
-    weight 1 + n/2, or E_{1+n/2} as its scale times the divisor sums."""
-    k = weight_for_signature(n)
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
-    if series is None:
-        coeffs, scale = _divisor_sums(k - 1, m + 1), _eisenstein_scale(k)
-    elif series.weight != k:
-        raise ValueError(f"series weight {series.weight} != weight {k}")
-    elif series.precision <= m:
-        raise ValueError(f"precision {series.precision} too small for index {m}")
-    else:
-        coeffs, scale = series.coefficients, 1
-    lhs, rhs = _identity_sides(m, n // 2, factorize(m), coeffs)[check]
-    return IdentityReport(m, n, scale * lhs, 2 * rhs / zeta_negative(n // 2))
-
-
-def eisenstein_coefficient_identity(
-    m: int, n: int, series: QSeries | None = None
-) -> IdentityReport:
-    """Check c_m(E_{1+n/2}) == 2 sigma_{n/2}(m) / zeta(-n/2), both sides exact.
-
-    The left side reads the q-expansion; the right side is the closed form.
-    A precomputed Eisenstein series may be passed to amortize scans.
-    """
-    return _identity_report(m, n, series, 0)
-
-
-def primitive_eisenstein_identity(
-    m: int, n: int, series: QSeries | None = None
-) -> IdentityReport:
-    """Check the primitive-class evaluation against its Euler-product form.
-
-    Left: sum over t^2 | m of mu(t) c_{m/t^2}(E_{1+n/2}) from the
-    q-expansion.  Right: (2 m^{n/2} / zeta(-n/2)) * prod_{p | m} (1 + p^{-n/2}),
-    cleared to a single exact rational.
-    """
-    return _identity_report(m, n, series, 1)
-
-
 def eisenstein_identity_scan(
     n: int, max_m: int
 ) -> Iterator[tuple[str, int, str, str, bool]]:
@@ -251,8 +173,7 @@ def eisenstein_identity_scan(
     F.num a G.den == G.num b F.den, and F a is written p/q in lowest terms
     by one gcd(a, F.den), as gcd(F.num, F.den) = 1.  Equal sides in lowest
     terms are the same string, so an equal row's rhs is its lhs.  No
-    Fraction is built per m, each m is factored once, and the rows agree
-    with eisenstein_coefficient_identity and primitive_eisenstein_identity.
+    Fraction is built per m, and each m is factored once.
     """
     k = weight_for_signature(n)
     if max_m < 0:
@@ -275,12 +196,3 @@ def _identity_rows(s, max_m, sums, scale_f, scale_g):
             else:
                 gb = gcd(b, gd)
                 yield check, m, lhs, f"{gn * b // gb}/{gd // gb}", False
-
-
-def limit_prefactor(r: int, r_prime: int) -> Fraction:
-    """Scalar r!/r'! in front of the wedge image of a limit class, r <= r'."""
-    if r < 1 or r_prime < 1:
-        raise ValueError("dimensions must be positive")
-    if r > r_prime:
-        raise ValueError(f"need r <= r', got r={r}, r'={r_prime}")
-    return Fraction(factorial(r), factorial(r_prime))

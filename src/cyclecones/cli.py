@@ -320,6 +320,11 @@ def _parse_int_matrix(text: str, what: str):
     return rows
 
 
+# the largest lattice --n: the Gram matrix of U+U+E8^j has (n+2)^2
+# entries, about a million at n = 1002
+_LATTICE_MAX_N = 1002
+
+
 def cmd_lattice(args) -> int:
     if args.subcommand == "reduce":  # a reduction reads no lattice
         rows = _parse_int_matrix(args.doubled, "--doubled")
@@ -334,6 +339,8 @@ def cmd_lattice(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
+    if args.n > _LATTICE_MAX_N:
+        raise UsageError(f"--n must be <= {_LATTICE_MAX_N}, got {args.n}")
     lattice = build_even_unimodular(args.n)
     if args.subcommand == "build":
         doc = {"gram": lattice.gram, "rank": lattice.rank,

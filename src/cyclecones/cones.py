@@ -36,7 +36,6 @@ __all__ = [
     "accumulation_cone_model",
     "is_pointed",
     "pointedness_witness",
-    "member",
     "extremal_generators",
     "extremal_rays",
     "span_dimension",
@@ -305,16 +304,6 @@ def lp_feasible(n_vars: int, eq):
         raise ArithmeticError("LP infeasibility certificate does not check")
     # row i was scaled by den[i]: the certificate of the rows as given
     return False, _primitive([y * s for y, s in zip(Y, den)])
-
-
-def member(v: ClassVector, cone: Cone) -> bool:
-    """Exact test whether v is a nonnegative rational combination of the
-    generators."""
-    if cone.generators and v.dimension != cone.dimension:
-        raise ValueError(
-            f"dimension mismatch: {v.dimension} vs {cone.dimension}"
-        )
-    return _in_cone(v.coords, [g.coords for g in cone.generators])
 
 
 def _in_cone(v, gens) -> bool:

@@ -29,7 +29,6 @@ __all__ = [
     "vector_of_norm",
     "is_positive_definite",
     "gauss_reduce",
-    "transform",
     "common_component_family",
 ]
 
@@ -224,11 +223,6 @@ def _congruent(t: HalfIntegralMatrix, u) -> tuple[tuple[int, ...], ...]:
         tuple(sum(ut_m[i][k] * u[k][j] for k in range(d)) for j in range(d))
         for i in range(d)
     )
-
-
-def transform(t: HalfIntegralMatrix, u) -> HalfIntegralMatrix:
-    """The GL_d(Z) action T -> u^t T u on moment matrices."""
-    return HalfIntegralMatrix(_congruent(t, u))
 
 
 class FamilyEntry(_Record):

@@ -1,5 +1,5 @@
 """Exact arithmetic functions: Bernoulli numbers, zeta values at negative
-integers, divisor sums, the Möbius function, and square-divisor enumeration.
+integers, factorization by trial division, and divisor sums.
 
 Everything returns exact values (``int`` or ``fractions.Fraction``); no
 floating point is used anywhere.
@@ -8,16 +8,13 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 from numbers import Rational
 from operator import attrgetter
 
 __all__ = [
     "bernoulli",
     "zeta_negative",
-    "sigma",
-    "moebius",
-    "square_divisors",
     "factorize",
 ]
 
@@ -162,27 +159,3 @@ def zeta_negative(s: int) -> Fraction:
     if s < 1:
         raise ValueError(f"zeta_negative requires s >= 1, got {s}")
     return -bernoulli(s + 1) / (s + 1)
-
-
-def sigma(s: int, m: int) -> int:
-    """Sum of the s-th powers of the positive divisors of m, exactly."""
-    if m < 1:
-        raise ValueError(f"sigma requires m >= 1, got {m}")
-    return _sigma(factorize(m), s)
-
-
-def moebius(t: int) -> int:
-    """Möbius function of t >= 1."""
-    if t < 1:
-        raise ValueError(f"moebius requires t >= 1, got {t}")
-    pairs = factorize(t)
-    if any(e > 1 for _, e in pairs):
-        return 0
-    return -1 if len(pairs) % 2 else 1
-
-
-def square_divisors(m: int) -> list[int]:
-    """All t >= 1 with t**2 | m, in ascending order."""
-    if m < 1:
-        raise ValueError(f"square_divisors requires m >= 1, got {m}")
-    return [t for t in range(1, isqrt(m) + 1) if m % (t * t) == 0]

@@ -15,12 +15,17 @@ construction: the monomials E_4^a E_6^b, powered in plain ints, reduced to
 echelon form by Fraction row reduction.  E_k has a brute-force
 divisor-sum construction with an Akiyama-Tanigawa Bernoulli number, and
 the primitive Heegner class P_m its square-divisor Moebius sum.  The
-Eisenstein identity scan has its former Fraction version, which reads E_k
-as a Fraction q-expansion and builds every side and comparison in
-Fractions.  The L-infinity ray distance has its Fraction version, which
+divisor sum, the Moebius function and the square divisors are written
+from their definitions, by trial division up to the square root, without
+numtheory.factorize; H_m is rebuilt from the P_{m/t^2}.  The Eisenstein
+identity scan has its former Fraction version, which reads E_k as a
+Fraction q-expansion and builds every side and comparison in Fractions,
+with these divisor functions on the closed-form side.  The L-infinity ray distance has its Fraction version, which
 scales each ray to max |coordinate| = 1 and subtracts coordinate by
 coordinate, and a functional is applied to a form directly on its
-q-expansion.  The CLI's identities output has its former printing:
+q-expansion.  The congruence
+u^t T u of a binary moment matrix is two 2x2 products.
+The CLI's identities output has its former printing:
 the CSV as one print of the joined lines, the JSON as one
 json.dumps(sort_keys=True, indent=2) of the whole document.
 """
@@ -31,14 +36,13 @@ import json
 import math
 from fractions import Fraction
 
-from cyclecones.classes import FunctionalCombo, weight_for_signature
-from cyclecones.numtheory import (
-    factorize,
-    moebius,
-    sigma,
-    square_divisors,
-    zeta_negative,
+from cyclecones.classes import (
+    FunctionalCombo,
+    primitive_heegner_class,
+    weight_for_signature,
 )
+from cyclecones.lattice import HalfIntegralMatrix
+from cyclecones.numtheory import zeta_negative
 from cyclecones.qseries import MillerBasis, QSeries, eisenstein
 
 
@@ -372,6 +376,49 @@ def eisenstein_ints(k, precision):
     )
 
 
+def divisors(m):
+    """The divisors of m >= 1 in ascending order, each pair (d, m/d) found
+    from its member d <= isqrt(m)."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
+def sigma(s, m):
+    """sigma_s(m), the sum of d^s over the divisors d of m; the reference
+    for numtheory._sigma, which multiplies one factor per prime power."""
+    return sum(d**s for d in divisors(m))
+
+
+def prime_divisors(m):
+    """The primes dividing m, in ascending order."""
+    return [p for p in divisors(m)[1:]
+            if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def moebius(t):
+    """mu(t): 0 when some square d^2 > 1 divides t, else -1 to the number
+    of primes dividing t."""
+    if any(t % (d * d) == 0 for d in range(2, math.isqrt(t) + 1)):
+        return 0
+    return (-1) ** len(prime_divisors(t))
+
+
+def square_divisors(m):
+    """All t >= 1 with t^2 | m, in ascending order, by enumeration."""
+    return [t for t in range(1, math.isqrt(m) + 1) if m % (t * t) == 0]
+
+
+def heegner_from_primitive(m, k):
+    """H_m rebuilt as the sum of classes.primitive_heegner_class(m/t^2)
+    over the square divisors t of m, expanded into coefficient
+    functionals; Moebius inversion makes it c_m alone."""
+    acc = {}
+    for t in square_divisors(m):
+        for i, a in primitive_heegner_class(m // (t * t), k).terms:
+            acc[i] = acc.get(i, 0) + a
+    return FunctionalCombo(k, tuple(acc.items()))
+
+
 def moebius_primitive_class(m, k):
     """P_m = sum over t^2 | m of mu(t) c_{m/t^2}, built by enumerating the
     square divisors and calling moebius for each; the reference for
@@ -402,7 +449,7 @@ def fraction_identity_scan(n, max_m):
         out.append(("coefficient", m, lhs, rhs, lhs == rhs))
         lhs = sum(moebius(t) * coeffs[m // (t * t)] for t in square_divisors(m))
         rhs = Fraction(2 * m**s) / zeta
-        for p, _ in factorize(m):
+        for p in prime_divisors(m):
             rhs *= 1 + Fraction(1, p**s)
         out.append(("primitive", m, lhs, rhs, lhs == rhs))
     return out
@@ -538,6 +585,13 @@ def mat2_mul(p, q):
         (p[1][0] * q[0][0] + p[1][1] * q[1][0],
          p[1][0] * q[0][1] + p[1][1] * q[1][1]),
     )
+
+
+def congruent2(t, u):
+    """u^t T u for a binary HalfIntegralMatrix T and a 2x2 integer matrix u,
+    as two 2x2 products of the doubled entries."""
+    ut = ((u[0][0], u[1][0]), (u[0][1], u[1][1]))
+    return HalfIntegralMatrix(mat2_mul(mat2_mul(ut, t.doubled), u))
 
 
 def rand_gl2(rng, steps=6):

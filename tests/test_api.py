@@ -71,3 +71,33 @@ def test_package_modules_import_no_unused_name():
             if (bound := alias.asname or alias.name.split(".")[0]) not in read
         ]
         assert not unused, (path.name, unused)
+
+
+def _names_read_outside_the_tests() -> set[str]:
+    """Every name read, attribute read or name imported in the package's
+    modules (except __init__, which re-exports) and in the demos."""
+    root = Path(cyclecones.__file__).parent
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    paths = [p for p in sorted(root.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(demos.glob("*.py"))
+    assert len(paths) > len(MODULES)
+    read = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return read
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_is_read_outside_the_tests(name):
+    # a public name that only tests read is API kept up for the tests
+    # alone; a test that needs such a helper keeps it in tests/oracles.py
+    mod = importlib.import_module(f"cyclecones.{name}")
+    read = _names_read_outside_the_tests()
+    assert [attr for attr in mod.__all__ if attr not in read] == []

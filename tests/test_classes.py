@@ -10,19 +10,21 @@ from cyclecones.classes import (
     ClassVector,
     FunctionalCombo,
     coordinates,
-    eisenstein_coefficient_identity,
     eisenstein_identity_scan,
     heegner_class,
-    heegner_from_primitive,
-    limit_prefactor,
     omega_class,
-    primitive_eisenstein_identity,
     primitive_heegner_class,
     weight_for_signature,
 )
-from cyclecones.numtheory import sigma, zeta_negative
+from cyclecones.numtheory import zeta_negative
 from cyclecones.qseries import QSeries, dim_mk, eisenstein, miller_basis
-from oracles import evaluate, fraction_identity_scan, moebius_primitive_class
+from oracles import (
+    evaluate,
+    fraction_identity_scan,
+    heegner_from_primitive,
+    moebius_primitive_class,
+    sigma,
+)
 
 
 def test_heegner_and_omega():
@@ -174,26 +176,23 @@ def test_representation_consistency():
 
 
 def test_identity_reports():
-    r = eisenstein_coefficient_identity(1, 10)
-    assert (r.lhs, r.rhs, r.equal) == (Fraction(-504), Fraction(-504), True)
-    assert list(eisenstein_identity_scan(10, 1))[0] == (
-        "coefficient", 1, "-504/1", "-504/1", True
-    )
-    r = eisenstein_coefficient_identity(2, 10)
-    assert r.lhs == r.rhs == -16632
-
-    r = primitive_eisenstein_identity(1, 10)
-    assert r.rhs == -504  # empty product
-    r = primitive_eisenstein_identity(2, 10)
-    assert r.lhs == r.rhs == -16632
-    r = primitive_eisenstein_identity(4, 10)
-    assert r.lhs == -504 * 1056 and r.equal
+    rows = {row[:2]: row[2:] for row in eisenstein_identity_scan(10, 4)}
+    assert rows["coefficient", 1] == ("-504/1", "-504/1", True)
+    assert rows["coefficient", 2] == ("-16632/1", "-16632/1", True)
+    assert rows["primitive", 1] == ("-504/1", "-504/1", True)  # empty product
+    assert rows["primitive", 2] == ("-16632/1", "-16632/1", True)
+    assert rows["primitive", 4] == (f"{-504 * 1056}/1",) * 2 + (True,)
+    # coefficient before primitive at each m, and no row below m = 1
+    assert [row[:2] for row in eisenstein_identity_scan(10, 2)] == [
+        ("coefficient", 1), ("primitive", 1), ("coefficient", 2), ("primitive", 2)
+    ]
+    assert list(eisenstein_identity_scan(10, 0)) == []
 
 
 def test_identity_weight_validation():
     for n in (11, 12, 4):  # odd weight / odd k / weight 2
         with pytest.raises(ValueError):
-            eisenstein_coefficient_identity(1, n)
+            eisenstein_identity_scan(n, 1)
     assert weight_for_signature(10) == 6
     assert weight_for_signature(66) == 34
 
@@ -208,14 +207,6 @@ def test_eisenstein_evaluation_signs():
             assert evaluate(primitive_heegner_class(m, k), series) < 0
 
 
-def test_limit_prefactor():
-    assert limit_prefactor(3, 3) == 1
-    assert limit_prefactor(1, 2) == Fraction(1, 2)
-    assert limit_prefactor(3, 5) == Fraction(1, 20)
-    with pytest.raises(ValueError):
-        limit_prefactor(5, 3)
-
-
 def test_primitive_class_matches_moebius_sum():
     for m in range(1, 5001):
         assert primitive_heegner_class(m, 6) == moebius_primitive_class(m, 6), m
@@ -223,24 +214,6 @@ def test_primitive_class_matches_moebius_sum():
 
 def _written(x):
     return f"{x.numerator}/{x.denominator}"
-
-
-@pytest.mark.parametrize("n", (10, 18, 26, 50))
-def test_identity_scan_matches_the_per_index_checks(n):
-    series = eisenstein(weight_for_signature(n), 201)
-    want = []
-    for m in range(1, 201):
-        want.append(("coefficient", eisenstein_coefficient_identity(m, n, series)))
-        want.append(("primitive", primitive_eisenstein_identity(m, n, series)))
-    got = list(eisenstein_identity_scan(n, 200))
-    assert got == [
-        (c, r.m, _written(r.lhs), _written(r.rhs), r.equal) for c, r in want
-    ]
-    assert all(row[4] for row in got)
-    assert [row[:2] for row in eisenstein_identity_scan(n, 2)] == [
-        ("coefficient", 1), ("primitive", 1), ("coefficient", 2), ("primitive", 2)
-    ]
-    assert list(eisenstein_identity_scan(n, 0)) == []
 
 
 def test_identity_scan_factorizes_each_index_once(monkeypatch):
@@ -319,9 +292,3 @@ def test_identity_checks_reject_bad_input():
         eisenstein_identity_scan(10, -1)
     with pytest.raises(ValueError):
         eisenstein_identity_scan(12, 5)
-    with pytest.raises(ValueError):
-        primitive_eisenstein_identity(0, 10)
-    with pytest.raises(ValueError):  # too short for c_5
-        eisenstein_coefficient_identity(5, 10, eisenstein(6, 5))
-    with pytest.raises(ValueError):  # E_4 at signature (10, 2), weight 6
-        primitive_eisenstein_identity(2, 10, eisenstein(4, 5))

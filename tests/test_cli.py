@@ -715,6 +715,36 @@ def test_lattice_reduce_reads_no_lattice(capsys):
     assert code == 2 and "no even unimodular lattice" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("build",),
+    ("moment", "--vectors", "[[1]]"),
+    ("family", "--m", "1", "--jmax", "1"),
+], ids=lambda argv: argv[0])
+def test_lattice_n_above_the_ceiling_exits_2_before_any_work(
+    capsys, monkeypatch, argv
+):
+    # the Gram matrix of U+U+E8^j has (n+2)^2 entries, so a lattice this
+    # large would allocate without bound: building one fails the test
+    def build(n):
+        raise AssertionError(f"built a lattice at n={n}")
+
+    monkeypatch.setattr(cli, "build_even_unimodular", build)
+    code, out, err = run(capsys, "lattice", argv[0], "--n", "1000002", *argv[1:])
+    assert (code, out, err) == (
+        2, "", "error: --n must be <= 1002, got 1000002\n"
+    )
+
+
+def test_lattice_n_at_the_ceiling_runs(capsys):
+    code, out, err = run(capsys, "lattice", "build", "--n", "1002")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["rank"] == 1004 and doc["signature"] == [1002, 2]
+    # a reduction builds no lattice, so its --n has no ceiling
+    argv = ("lattice", "reduce", "--doubled", "[[4,3],[3,4]]")
+    assert run(capsys, *argv, "--n", "1000002") == run(capsys, *argv)
+
+
 def test_lattice_family(capsys):
     code, out, _ = run(
         capsys, "lattice", "family", "--n", "10", "--m", "3", "--jmax", "5"

@@ -15,11 +15,10 @@ from cyclecones.lattice import (
     is_primitive,
     moment_matrix,
     norm_q,
-    transform,
     vector_of_norm,
 )
 from cyclecones.linalg import det, gram_signature
-from oracles import rand_gl2, rand_gln
+from oracles import congruent2, rand_gl2, rand_gln
 
 
 def test_e8_block():
@@ -172,7 +171,7 @@ def test_gauss_reduce_examples():
     red2, u2 = gauss_reduce(t2)
     assert red2.doubled == ((2, 1), (1, 4))
     assert red2.determinant() == t2.determinant() == Fraction(7, 4)
-    assert transform(t2, u2) == red2
+    assert congruent2(t2, u2) == red2
 
     with pytest.raises(ValueError):
         gauss_reduce(HalfIntegralMatrix(((2, 2), (2, 2))))
@@ -197,14 +196,14 @@ def test_gauss_reduce_random():
         assert 0 <= rb <= ra <= rc
         assert red.determinant() == t.determinant()
         assert u[0][0] * u[1][1] - u[0][1] * u[1][0] in (1, -1)
-        assert transform(t, u) == red
+        assert congruent2(t, u) == red
         # idempotent with identity transform
         red2, u2 = gauss_reduce(red)
         assert red2 == red and u2 == ((1, 0), (0, 1))
         # GL_2(Z) translates land on the same representative
         for _ in range(2):
             g = rand_gl2(rng)
-            rr, _ = gauss_reduce(transform(t, g))
+            rr, _ = gauss_reduce(congruent2(t, g))
             assert rr == red
 
 
@@ -221,7 +220,7 @@ def test_moment_transforms_like_the_paperside_action():
         w2 = tuple(u[1][0] * a + u[1][1] * b for a, b in zip(v1, v2))
         got = moment_matrix(lat, [w1, w2])
         ut = ((u[0][0], u[1][0]), (u[0][1], u[1][1]))
-        assert got == transform(t, ut)
+        assert got == congruent2(t, ut)
 
 
 def test_common_component_family():
