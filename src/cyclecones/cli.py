@@ -20,10 +20,8 @@ from pathlib import Path
 
 from .classes import eisenstein_identity_scan, weight_for_signature
 from .cones import (
-    Cone,
     NotPointedError,
     Ray,
-    _extremal_sweep,
     accumulation_cone_model,
     convergence_scan,
     extremal_generators,
@@ -274,8 +272,6 @@ def cmd_cone(args) -> int:
     basis = _cached_basis(args)
     cone = accumulation_cone_model(basis, args.max_m)
     half_m = max(1, args.max_m // 2)
-    # the generators are omega, then P_1 .. P_max_m: the half cone's prefix
-    half_cone = Cone(cone.generators[:half_m + 1])
     doc = {
         "dim": span_dimension(cone),
         "expected_dim": basis.dimension,
@@ -298,9 +294,9 @@ def cmd_cone(args) -> int:
             [_frac_str(c) for c in canonical]
             for canonical in sorted(r.canonical for r in rays)
         ]
-        # a prefix of the pointed cone's generators: pointed, no LP needed
-        half = {Ray(half_cone.generators[j].coords)
-                for j in _extremal_sweep(half_cone)}
+        # the half cone omega, P_1 .. P_half_m has the cone's extremal rays
+        # exactly when each of them has an index <= half_m in idx
+        half = {Ray(cone.generators[j].coords) for j in idx if j <= half_m}
         doc["extremal_stable"] = half == rays
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0

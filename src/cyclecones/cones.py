@@ -357,17 +357,15 @@ def extremal_generators(cone: Cone) -> list[int]:
     the extremal rays.  Each membership LP has |C| columns, not one per
     ray.  A cone that is not pointed raises NotPointedError, so a caller
     learns pointedness from this call without a second LP.
+
+    Every index on an extremal ray is listed, repeats included, so the
+    cone of generators 0..p has the cone's extremal rays exactly when
+    each of them has a listed index <= p.
     """
     if not is_pointed(cone):
         raise NotPointedError(
             "extremal rays are only defined for pointed cones"
         )
-    return _extremal_sweep(cone)
-
-
-def _extremal_sweep(cone: Cone) -> list[int]:
-    """extremal_generators without its pointedness LP: the cone must be
-    known to be pointed."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, g in enumerate(cone.generators):
         groups.setdefault(_ray_key(g.coords), []).append(j)

@@ -8,7 +8,9 @@ independent of the simplex: membership runs over Caratheodory subsets
 solved by row reduction, extremality tests each ray against all the
 others by that membership, pointedness enumerates minimal one-signed
 relations, and the GL_2(Z)/GL_n(Z) samplers multiply elementary
-matrices.  The weight-18 ray distances have a closed form built
+matrices.  The cone report's extremal_stable has its former two-sweep
+answer, which runs the extremality sweep on the half cone as well.  The
+weight-18 ray distances have a closed form built
 from Delta*E_6 in plain ints, independent of the q-series module, and
 Delta itself comes from the Jacobi product.  Miller bases have a second
 construction: the monomials E_4^a E_6^b, powered in plain ints, reduced to
@@ -41,6 +43,7 @@ from cyclecones.classes import (
     primitive_heegner_class,
     weight_for_signature,
 )
+from cyclecones.cones import Cone, extremal_rays
 from cyclecones.lattice import HalfIntegralMatrix
 from cyclecones.numtheory import zeta_negative
 from cyclecones.qseries import MillerBasis, QSeries, eisenstein
@@ -210,6 +213,14 @@ def brute_pointed(gens):
             if all(x > 0 for x in w) or all(x < 0 for x in w):
                 return False
     return True
+
+
+def two_sweep_stable(cone, half_m):
+    """Whether the half cone, generators 0..half_m of the pointed cone,
+    has the cone's extremal rays, each set from its own sweep."""
+    return extremal_rays(Cone(cone.generators[:half_m + 1])) == (
+        extremal_rays(cone)
+    )
 
 
 B18 = Fraction(43867, 798)  # Bernoulli number B_18, written out

@@ -40,6 +40,24 @@ def test_package_reexports_only_listed_names():
         assert attr in mod.__all__, (attr, mod.__name__)
 
 
+def test_cli_binds_only_public_names():
+    # the CLI answers through the library's public API, not its helpers
+    path = Path(cyclecones.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    private = [
+        (module, name) for module, name in imported
+        if name not in importlib.import_module(f"cyclecones.{module}").__all__
+    ]
+    assert private == []
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so a check written as one would
     # vanish there; every check in the package raises instead

@@ -8,16 +8,24 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ROOT, SRC
 from cyclecones import classes, cli, cones
-from cyclecones.classes import eisenstein_identity_scan
+from cyclecones.classes import ClassVector, eisenstein_identity_scan
 from cyclecones.cli import main
-from cyclecones.qseries import miller_basis
-from oracles import identities_csv_text, identities_json_text, print_csv_text
+from cyclecones.qseries import dim_mk, miller_basis
+from oracles import (
+    identities_csv_text,
+    identities_json_text,
+    print_csv_text,
+    two_sweep_stable,
+)
 
 
 def run(capsys, *argv):
@@ -388,11 +396,18 @@ def test_cone_report_runs_the_pointedness_lp_once(capsys, monkeypatch):
     monkeypatch.setattr(cones, "lp_feasible", counted)
     code, _, _ = run(capsys, "cone", "--n", "34", "--max-m", "200")
     assert code == 0
-    # one pointedness LP of 201 columns for the cone and none for the half
-    # cone, a prefix of it; an LP of 101 columns for the half cone made
-    # 308 / 908, and checking the cone's pointedness twice 309 / 1,109
-    assert (len(columns), sum(columns)) == (307, 807)
+    # one pointedness LP of 201 columns and one extremality sweep, of the
+    # cone only: a second sweep of the half cone made 307 / 807, a
+    # pointedness LP of 101 columns for it 308 / 908, and checking the
+    # cone's pointedness twice 309 / 1,109
+    assert (len(columns), sum(columns)) == (204, 604)
     assert columns.count(201) == 1 and 101 not in columns
+
+    columns.clear()
+    code, _, _ = run(capsys, "cone", "--n", "130", "--max-m", "63")
+    assert code == 0
+    # the two sweeps made 137 / 770
+    assert (len(columns), sum(columns)) == (85, 513)
 
     columns.clear()
     code, out, _ = run(capsys, "cone", "--weight", "4", "--max-m", "30")
@@ -411,6 +426,66 @@ def test_cone_report_runs_the_pointedness_lp_once(capsys, monkeypatch):
         '  "weight": 4\n'
         "}\n"
     )
+
+
+def test_cone_report_stability_matches_the_two_sweep_answer(capsys):
+    tally = {True: 0, False: 0, None: 0}
+    for k in range(4, 63, 2):
+        for max_m in (1, 2, 3, 5, 8, 13, 30, 61):
+            code, out, _ = run(
+                capsys, "cone", "--weight", str(k), "--max-m", str(max_m)
+            )
+            assert code == 0
+            doc = json.loads(out)
+            stable = doc.get("extremal_stable")
+            if doc["pointed"]:
+                basis = miller_basis(k, max(max_m + 1, dim_mk(k)))
+                cone = cones.accumulation_cone_model(basis, max_m)
+                half_m = doc["half_max_m"]
+                assert stable == two_sweep_stable(cone, half_m), (k, max_m)
+            else:
+                assert stable is None
+            tally[stable] += 1
+    assert tally == {True: 97, False: 83, None: 60}
+
+
+@st.composite
+def prefix_cones(draw):
+    """A small integer cone, pointed by its positive first coordinates,
+    whose few rays repeat on both sides of a random half_m."""
+    dim = draw(st.integers(2, 3))
+    coord = st.integers(-3, 3)
+    rays = draw(st.lists(st.tuples(st.integers(1, 3), *[coord] * (dim - 1)),
+                         min_size=1, max_size=5))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, len(rays) - 1), st.integers(1, 3)),
+        min_size=2, max_size=10,
+    ))
+    gens = tuple(ClassVector(tuple(f * c for c in rays[i])) for i, f in picks)
+    return cones.Cone(gens), draw(st.integers(1, len(gens) - 1))
+
+
+def _cone_of(*gens):
+    return cones.Cone(tuple(ClassVector(g) for g in gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_cones())
+# the extremal ray of (1, 1) has a generator on each side of half_m = 1
+@example((_cone_of((1, 1), (1, -1), (2, 2), (3, -3), (1, 0)), 1))
+@example((_cone_of((1, 1), (1, 0), (2, 2), (1, -1)), 1))
+def test_cone_report_stability_on_random_prefixes(case):
+    # the report on this cone, with max-m = 2 half_m so that its half
+    # cone is generators 0..half_m
+    cone, half_m = case
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        mp.setattr(cli, "accumulation_cone_model", lambda basis, m: cone)
+        code = main(["cone", "--weight", "6", "--max-m", str(2 * half_m)])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc["half_max_m"] == half_m and doc["pointed"] is True
+    assert doc["extremal_stable"] == two_sweep_stable(cone, half_m)
 
 
 def test_cache_round_trip(tmp_path, capsys):
