@@ -43,4 +43,4 @@ cone = accumulation_cone_model(miller_basis(k, 32), 30)
 y = pointedness_witness(cone)
 print(f"weight {k}, M=30: separating functional y = {tuple(map(str, y))}")
 print("  <y, g> >= 1 on every generator:",
-      all(sum(a * b for a, b in zip(y, g.coords)) >= 1 for g in cone.generators))
+      all(sum(a * b for a, b in zip(y, g)) >= 1 for g in cone.generators))

@@ -27,10 +27,9 @@ k = weight_for_signature(n)
 print(f"signature ({n}, 2)  ->  weight k = {k},  zeta(-{n//2}) = {zeta_negative(n//2)}")
 print()
 
-series = eisenstein(k, 4)
 print(f"E_{k} = 1 " + " ".join(
     f"{'+' if c > 0 else '-'} {abs(c)} q^{i}"
-    for i, c in enumerate(series.coefficients[:4]) if i
+    for i, c in enumerate(eisenstein(k, 4)) if i
 ) + " + ...")
 print()
 

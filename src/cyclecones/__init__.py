@@ -4,7 +4,6 @@ functionals and their Eisenstein identities, rational ray/cone geometry
 with an exact LP core, and even-unimodular lattice combinatorics."""
 
 from .classes import (
-    ClassVector,
     FunctionalCombo,
     coordinates,
     eisenstein_identity_scan,
@@ -48,7 +47,6 @@ from .numtheory import (
 )
 from .qseries import (
     MillerBasis,
-    QSeries,
     dim_mk,
     dump_miller_basis,
     eisenstein,

@@ -4,7 +4,8 @@ A degree-2 class is identified with its preimage in the dual of the
 weight-k form space: the functional c_m extracts the m-th q-coefficient,
 the Heegner divisor class corresponds to c_m, the Kähler class to -c_0,
 and primitive Heegner classes arise by Möbius inversion over square
-divisors.  Coordinates are taken in the basis dual to a Miller basis.
+divisors.  A class's coordinates, in the basis dual to a Miller basis,
+are a tuple of ints and Fractions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .qseries import MillerBasis, _divisor_sums, _eisenstein_scale
 
 __all__ = [
     "FunctionalCombo",
-    "ClassVector",
     "heegner_class",
     "omega_class",
     "primitive_heegner_class",
@@ -69,26 +69,6 @@ class FunctionalCombo(_Record):
         return self.terms[-1][0] if self.terms else 0
 
 
-class ClassVector(_Record):
-    """Coordinates of a functional in the basis dual to a Miller basis.
-
-    An int or Fraction coordinate is kept as given; another rational is
-    converted by Fraction, and a float or a str raises TypeError.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[int | Fraction, ...]) -> None:
-        super().__init__(_exact(coords))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
 def heegner_class(m: int, k: int) -> FunctionalCombo:
     """Class of the m-th Heegner divisor: the single functional c_m."""
     if m < 1:
@@ -122,8 +102,11 @@ def _primitive_terms(m: int, pairs) -> list[tuple[int, int]]:
     return terms
 
 
-def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
-    """Coordinate i is the combo applied to the i-th Miller basis element.
+def coordinates(
+    combo: FunctionalCombo, basis: MillerBasis
+) -> tuple[int | Fraction, ...]:
+    """The coordinates of the combo in the basis dual to the Miller basis:
+    coordinate i is the combo applied to the i-th Miller row.
 
     The Miller rows are ints, so an integer combination has int
     coordinates.
@@ -137,11 +120,7 @@ def coordinates(combo: FunctionalCombo, basis: MillerBasis) -> ClassVector:
             f"basis precision {basis.precision} too small for index "
             f"{combo.max_index()}"
         )
-    coords = tuple(
-        sum(a * f.coefficients[m] for m, a in combo.terms)
-        for f in basis.basis
-    )
-    return ClassVector(coords)
+    return tuple(sum(a * f[m] for m, a in combo.terms) for f in basis.rows)
 
 
 def _identity_sides(m: int, s: int, pairs, coeffs):

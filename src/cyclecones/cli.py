@@ -288,7 +288,7 @@ def cmd_cone(args) -> int:
         doc["pointed"] = False
     else:
         doc["pointed"] = True
-        rays = {Ray(cone.generators[j].coords) for j in idx}
+        rays = {Ray(cone.generators[j]) for j in idx}
         doc["extremal_indices"] = idx
         doc["extremal_rays"] = [
             [_frac_str(c) for c in canonical]
@@ -296,7 +296,7 @@ def cmd_cone(args) -> int:
         ]
         # the half cone omega, P_1 .. P_half_m has the cone's extremal rays
         # exactly when each of them has an index <= half_m in idx
-        half = {Ray(cone.generators[j].coords) for j in idx if j <= half_m}
+        half = {Ray(cone.generators[j]) for j in idx if j <= half_m}
         doc["extremal_stable"] = half == rays
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0

@@ -16,14 +16,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .classes import (
-    ClassVector,
     coordinates,
     heegner_class,
     omega_class,
     primitive_heegner_class,
 )
 from .linalg import rank
-from .numtheory import _exact, _Record
+from .numtheory import _exact, _Record, _scaled
 from .qseries import MillerBasis
 
 __all__ = [
@@ -54,9 +53,7 @@ def _ray_key(coords) -> tuple[int, ...]:
     rational vector: the coordinates times the lcm of their denominators,
     over the gcd of the result.  Two nonzero vectors lie on one oriented
     ray exactly when their keys are equal."""
-    den = lcm(*(c.denominator for c in coords))
-    return tuple(_primitive([c.numerator * (den // c.denominator)
-                             for c in coords]))
+    return tuple(_primitive(_scaled(coords)[0]))
 
 
 class Ray(_Record):
@@ -67,9 +64,10 @@ class Ray(_Record):
     __slots__ = ("key",)
 
     def __init__(self, coords) -> None:
-        if not any(coords):
+        key = _ray_key(coords)
+        if not any(key):
             raise ValueError("the zero vector spans no ray")
-        super().__init__(_ray_key(coords))
+        super().__init__(key)
 
     @property
     def canonical(self) -> tuple[Fraction, ...]:
@@ -83,21 +81,22 @@ class Ray(_Record):
 
 
 class Cone(_Record):
-    """Finitely generated rational cone, kept as its generator list."""
+    """Finitely generated rational cone, kept as its generators: coordinate
+    tuples, each checked by _exact, so a float or a str raises TypeError."""
 
     __slots__ = ("generators",)
 
-    def __init__(self, generators: tuple[ClassVector, ...]) -> None:
-        dims = {g.dimension for g in generators}
-        if len(dims) > 1:
+    def __init__(self, generators) -> None:
+        generators = tuple(map(_exact, generators))
+        if len({len(g) for g in generators}) > 1:
             raise ValueError("generators must share one dimension")
-        if any(g.is_zero() for g in generators):
+        if not all(map(any, generators)):
             raise ValueError("zero generators are not allowed")
         super().__init__(generators)
 
     @property
     def dimension(self) -> int:
-        return self.generators[0].dimension if self.generators else 0
+        return len(self.generators[0]) if self.generators else 0
 
 
 class NotPointedError(ValueError):
@@ -122,7 +121,7 @@ def omega_ray(basis: MillerBasis) -> Ray:
     """Ray of the Kähler class: -e_0 in Miller-dual coordinates."""
     if basis.dimension < 1:
         raise ValueError(f"weight {basis.weight} has an empty form space")
-    return Ray(coordinates(omega_class(basis.weight), basis).coords)
+    return Ray(coordinates(omega_class(basis.weight), basis))
 
 
 def convergence_scan(
@@ -134,8 +133,7 @@ def convergence_scan(
     compared with the omega ray in the L-infinity ray metric.  The
     distances tend to 0 for k = 2 mod 4; for k = 0 mod 4 the Eisenstein
     sign flips and the limit ray is +e_0 instead, so distances approach 2
-    (a class's Ray(coordinates(combo, basis).coords) shows the limit
-    attained).
+    (a class's Ray(coordinates(combo, basis)) shows the limit attained).
     """
     m_set = list(m_set)
     if any(m < 1 for m in m_set):
@@ -144,7 +142,7 @@ def convergence_scan(
     build = primitive_heegner_class if primitive else heegner_class
     out = []
     for m in m_set:
-        ray = Ray(coordinates(build(m, basis.weight), basis).coords)
+        ray = Ray(coordinates(build(m, basis.weight), basis))
         out.append((m, ray_distance(ray, target)))
     return out
 
@@ -258,15 +256,6 @@ def _phase1(A, b, den, n):
     return True, (X, D)
 
 
-def _integral(coef, rhs):
-    """(coefficients, rhs, den): the row times den, the positive lcm of its
-    denominators, as ints; the feasible set is unchanged."""
-    entries = _exact((*coef, rhs))
-    den = lcm(*(x.denominator for x in entries))
-    ints = [x.numerator * (den // x.denominator) for x in entries]
-    return ints[:-1], ints[-1], den
-
-
 def lp_feasible(n_vars: int, eq):
     """Exact feasibility of {x >= 0 : coeffs . x == rhs for every row}.
 
@@ -277,15 +266,16 @@ def lp_feasible(n_vars: int, eq):
     every column and sum_i Y[i] * rhs_i > 0.  Either answer is verified in
     ints first; one that does not check raises ArithmeticError.
     """
-    rows = [_integral(c, r) for c, r in eq]
-    for coef, _, _ in rows:
-        if len(coef) != n_vars:
+    # each row times the lcm of its denominators: the same feasible set
+    rows = [_scaled((*c, r)) for c, r in eq]
+    for ints, _ in rows:
+        if len(ints) != n_vars + 1:
             raise ValueError(
-                f"row length {len(coef)} does not match {n_vars} variables"
+                f"row length {len(ints) - 1} does not match {n_vars} variables"
             )
-    A = [coef for coef, _, _ in rows]
-    b = [rhs for _, rhs, _ in rows]
-    den = [s for _, _, s in rows]
+    A = [ints[:-1] for ints, _ in rows]
+    b = [ints[-1] for ints, _ in rows]
+    den = [s for _, s in rows]
     feasible, answer = _phase1(A, b, den, n_vars)
     if feasible:
         X, D = answer
@@ -336,7 +326,7 @@ def pointedness_witness(cone: Cone):
     gens = cone.generators
     if not gens:
         return ()
-    eq = [([g.coords[i] for g in gens], 0) for i in range(cone.dimension)]
+    eq = [([g[i] for g in gens], 0) for i in range(cone.dimension)]
     eq.append(([1] * len(gens), 1))
     feasible, Y = lp_feasible(len(gens), eq)
     return None if feasible else tuple(Fraction(-v, Y[-1]) for v in Y[:-1])
@@ -368,7 +358,7 @@ def extremal_generators(cone: Cone) -> list[int]:
         )
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, g in enumerate(cone.generators):
-        groups.setdefault(_ray_key(g.coords), []).append(j)
+        groups.setdefault(_ray_key(g), []).append(j)
     keys = list(groups)
 
     def inside(i: int, others: list[int]) -> bool:
@@ -389,11 +379,11 @@ def extremal_generators(cone: Cone) -> list[int]:
 def extremal_rays(cone: Cone) -> set[Ray]:
     """Rays of the extremal generators."""
     gens = cone.generators
-    return {Ray(gens[j].coords) for j in extremal_generators(cone)}
+    return {Ray(gens[j]) for j in extremal_generators(cone)}
 
 
 def span_dimension(cone: Cone) -> int:
     """Rank of the generator matrix by exact fraction-free elimination."""
     if not cone.generators:
         return 0
-    return rank([g.coords for g in cone.generators])
+    return rank(cone.generators)

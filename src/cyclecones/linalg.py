@@ -9,9 +9,9 @@ rational rows and scales each to integers.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from .numtheory import _exact
+from .numtheory import _scaled
 
 __all__ = ["rank", "det", "gram_signature"]
 
@@ -43,12 +43,7 @@ def _echelon(rows) -> list[tuple[int, list[int]]]:
 
 def rank(rows) -> int:
     """Rank of a rational matrix, without building a Fraction for int rows."""
-    def scaled(row):
-        row = _exact(row)
-        den = lcm(*(x.denominator for x in row))
-        return [x.numerator * (den // x.denominator) for x in row]
-
-    return len(_echelon(map(scaled, rows)))
+    return len(_echelon(_scaled(row)[0] for row in rows))
 
 
 def _square_ints(rows, what: str) -> list[list[int]]:

@@ -8,7 +8,7 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from numbers import Rational
 from operator import attrgetter
 
@@ -79,6 +79,14 @@ def _exact(values) -> tuple[int | Fraction, ...]:
         c if type(c) is int or type(c) is Fraction else _rational(c)
         for c in values
     )
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """(ints, den): the values, checked by _exact, times den, the positive
+    lcm of their denominators, as a list of ints."""
+    values = _exact(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _rational(c) -> Fraction:

@@ -1,11 +1,11 @@
 """Exact q-expansion engine for level-1 modular forms.
 
-A form of even weight k is represented by the first N coefficients of its
-q-expansion, all exact: ints where the form is integral (the Miller
-bases), Fractions otherwise.  The module provides the normalized
-Eisenstein series E_k, the weight-k dimension formula, and echelonized
-(Miller) bases built in integers by Miller's Delta^j construction from
-the discriminant cusp form.
+A form of even weight k is represented by the tuple of the first N
+coefficients of its q-expansion, all exact: ints where the form is
+integral (the Miller bases), Fractions otherwise.  The module provides the
+normalized Eisenstein series E_k, the weight-k dimension formula, and
+echelonized (Miller) bases built in integers by Miller's Delta^j
+construction from the discriminant cusp form.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 from .numtheory import _exact, _Record, bernoulli
 
 __all__ = [
-    "QSeries",
     "MillerBasis",
     "dim_mk",
     "eisenstein",
@@ -23,29 +22,6 @@ __all__ = [
     "dump_miller_basis",
     "load_miller_basis",
 ]
-
-
-class QSeries(_Record):
-    """Truncated q-expansion: coefficients of q^0 .. q^(N-1), exact.
-
-    An int or Fraction coefficient is kept as given; another rational is
-    converted by ``Fraction``, and a float or a str raises TypeError.  The
-    weight is a tag; series products are taken on integer coefficient
-    lists by ``_mul``.
-    """
-
-    __slots__ = ("weight", "coefficients")
-
-    def __init__(
-        self, weight: int, coefficients: tuple[Fraction, ...]
-    ) -> None:
-        if len(coefficients) < 1:
-            raise ValueError("a QSeries needs at least one coefficient")
-        super().__init__(weight, _exact(coefficients))
-
-    @property
-    def precision(self) -> int:
-        return len(self.coefficients)
 
 
 def dim_mk(k: int) -> int:
@@ -72,16 +48,17 @@ def _eisenstein_scale(k: int) -> Fraction:
     return Fraction(-2 * k) / bernoulli(k)
 
 
-def eisenstein(k: int, precision: int) -> QSeries:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum_m sigma_{k-1}(m) q^m,
-    with int coefficients where -2k/B_k is an int (k = 4, 6, 8, 10, 14)."""
+def eisenstein(k: int, precision: int) -> tuple[int | Fraction, ...]:
+    """Coefficients of q^0 .. q^(precision-1) of the normalized Eisenstein
+    series E_k = 1 - (2k/B_k) sum_m sigma_{k-1}(m) q^m: ints where -2k/B_k
+    is an int (k = 4, 6, 8, 10, 14), Fractions otherwise."""
     factor = _eisenstein_scale(k)
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     if factor.denominator == 1:
         factor = factor.numerator
     sums = _divisor_sums(k - 1, precision)
-    return QSeries(k, (type(factor)(1), *(factor * x for x in sums[1:])))
+    return (type(factor)(1), *(factor * x for x in sums[1:]))
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -107,17 +84,24 @@ def _delta_ints(e4: list[int], e6: list[int]) -> list[int]:
 
 
 class MillerBasis(_Record):
-    """Echelon basis f_0 .. f_{d-1} of weight-k forms: f_i = q^i + O(q^d)."""
+    """Echelon basis f_0 .. f_{d-1} of weight-k forms: f_i = q^i + O(q^d).
 
-    __slots__ = ("weight", "basis")
+    ``rows`` holds the coefficient tuple of each f_i, each checked by
+    _exact, so a float or a str raises TypeError.
+    """
+
+    __slots__ = ("weight", "rows")
+
+    def __init__(self, weight: int, rows) -> None:
+        super().__init__(weight, tuple(map(_exact, rows)))
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def precision(self) -> int:
-        return self.basis[0].precision if self.basis else 0
+        return len(self.rows[0]) if self.rows else 0
 
 
 def miller_basis(k: int, precision: int) -> MillerBasis:
@@ -144,8 +128,8 @@ def miller_basis(k: int, precision: int) -> MillerBasis:
     r = k - 12 * (d - 1)  # one of 0, 4, 6, 8, 10, 14
     b = r % 4 // 2
     a = (r - 6 * b) // 4
-    e4 = eisenstein(4, precision).coefficients
-    e6 = eisenstein(6, precision).coefficients
+    e4 = eisenstein(4, precision)
+    e6 = eisenstein(6, precision)
     one = [1] + [0] * (precision - 1)
     tail = one
     for f, e in ((e4, a), (e6, b)):
@@ -179,7 +163,7 @@ def miller_basis(k: int, precision: int) -> MillerBasis:
             raise ArithmeticError(
                 f"Miller row {i} lacks the identity pivot block at weight {k}"
             )
-    return MillerBasis(k, tuple(QSeries(k, tuple(f)) for f in rows))
+    return MillerBasis(k, rows)
 
 
 def dump_miller_basis(basis: MillerBasis) -> str:
@@ -193,10 +177,8 @@ def dump_miller_basis(basis: MillerBasis) -> str:
         f"weight {basis.weight}, dimension {basis.dimension}, "
         f"precision {basis.precision}"
     ]
-    for f in basis.basis:
-        lines.append(
-            " ".join(f"{c.numerator}/{c.denominator}" for c in f.coefficients)
-        )
+    for f in basis.rows:
+        lines.append(" ".join(f"{c.numerator}/{c.denominator}" for c in f))
     return "\n".join(lines) + "\n"
 
 
@@ -223,7 +205,7 @@ def load_miller_basis(text: str) -> MillerBasis:
     k, d, n = fields["weight"], fields["dimension"], fields["precision"]
     if len(lines) != 1 + d:
         raise ValueError(f"expected {d} coefficient lines, got {len(lines) - 1}")
-    basis = []
+    rows = []
     for line in lines[1:]:
         tokens = line.split(" ")
         if len(tokens) != n:
@@ -234,13 +216,13 @@ def load_miller_basis(text: str) -> MillerBasis:
             if q != "1":
                 raise ValueError(f"coefficient {tok} is not an integer")
             coeffs.append(int(p))
-        basis.append(QSeries(k, tuple(coeffs)))
-    out = MillerBasis(k, tuple(basis))
+        rows.append(coeffs)
+    out = MillerBasis(k, rows)
     if out.dimension != dim_mk(k):
         raise ValueError(
             f"file claims dimension {out.dimension}, weight {k} has {dim_mk(k)}"
         )
-    for i, f in enumerate(out.basis):
-        if f.coefficients[:d] != tuple(int(i == j) for j in range(d)):
+    for i, f in enumerate(out.rows):
+        if f[:d] != tuple(int(i == j) for j in range(d)):
             raise ValueError(f"row {i} lacks the identity pivot block")
     return out

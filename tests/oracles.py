@@ -46,7 +46,7 @@ from cyclecones.classes import (
 from cyclecones.cones import Cone, extremal_rays
 from cyclecones.lattice import HalfIntegralMatrix
 from cyclecones.numtheory import zeta_negative
-from cyclecones.qseries import MillerBasis, QSeries, eisenstein
+from cyclecones.qseries import MillerBasis, eisenstein
 
 
 def rref(rows) -> list[list[Fraction]]:
@@ -350,16 +350,14 @@ def fraction_ray_distance(u, v):
 
 
 def evaluate(combo, f):
-    """Apply the functional to a form: sum_m a_m (coefficient of q^m in
-    f), read off the q-expansion; the reference for classes.coordinates,
-    which pairs the functional with a Miller basis."""
-    if combo.weight != f.weight:
-        raise ValueError(f"combo weight {combo.weight} != form weight {f.weight}")
-    if combo.terms and f.precision <= combo.max_index():
+    """Apply the functional to a form: sum_m a_m f[m], f the tuple of the
+    form's q-coefficients; the reference for classes.coordinates, which
+    pairs the functional with a Miller basis."""
+    if combo.terms and len(f) <= combo.max_index():
         raise ValueError(
-            f"precision {f.precision} too small for index {combo.max_index()}"
+            f"precision {len(f)} too small for index {combo.max_index()}"
         )
-    return sum(a * f.coefficients[m] for m, a in combo.terms)
+    return sum(a * f[m] for m, a in combo.terms)
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -452,7 +450,7 @@ def fraction_identity_scan(n, max_m):
     (2 m^{n/2} / zeta(-n/2)) prod_{p | m} (1 + p^{-n/2}), all in Fractions.
     The reference for classes.eisenstein_identity_scan, which runs in ints."""
     s = n // 2
-    coeffs = eisenstein(s + 1, max_m + 1).coefficients
+    coeffs = eisenstein(s + 1, max_m + 1)
     zeta = zeta_negative(s)
     out = []
     for m in range(1, max_m + 1):
@@ -538,7 +536,7 @@ def monomial_miller_basis(k, precision):
     two; empty spaces give a dimension-0 basis.
     """
     rows = rref(monomial_span(k, precision))
-    return MillerBasis(k, tuple(QSeries(k, tuple(r)) for r in rows))
+    return MillerBasis(k, rows)
 
 
 def jacobi_delta(precision):

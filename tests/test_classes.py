@@ -7,7 +7,6 @@ import pytest
 
 from cyclecones import classes, qseries
 from cyclecones.classes import (
-    ClassVector,
     FunctionalCombo,
     coordinates,
     eisenstein_identity_scan,
@@ -16,8 +15,10 @@ from cyclecones.classes import (
     primitive_heegner_class,
     weight_for_signature,
 )
+from cyclecones.cones import Cone, Ray, lp_feasible
+from cyclecones.linalg import rank
 from cyclecones.numtheory import zeta_negative
-from cyclecones.qseries import QSeries, dim_mk, eisenstein, miller_basis
+from cyclecones.qseries import MillerBasis, dim_mk, eisenstein, miller_basis
 from oracles import (
     evaluate,
     fraction_identity_scan,
@@ -73,11 +74,11 @@ def test_coordinates_unit_vectors():
         basis = miller_basis(k, 2 * d + 2)
         for m in range(1, d):
             v = coordinates(heegner_class(m, k), basis)
-            assert v.coords == tuple(
+            assert v == tuple(
                 Fraction(1 if i == m else 0) for i in range(d)
             )
         omega = coordinates(omega_class(k), basis)
-        assert omega.coords == tuple(
+        assert omega == tuple(
             Fraction(-1 if i == 0 else 0) for i in range(d)
         )
 
@@ -93,17 +94,17 @@ def test_integer_combinations_have_int_coordinates():
             heegner_from_primitive(36, k),
         ):
             assert all(type(a) is int for _, a in combo.terms)
-            coords = coordinates(combo, basis).coords
+            coords = coordinates(combo, basis)
             assert len(coords) == d
             assert all(type(c) is int for c in coords)
-            assert coords == tuple(evaluate(combo, f) for f in basis.basis)
+            assert coords == tuple(evaluate(combo, f) for f in basis.rows)
 
 
-def test_class_vector_keeps_exact_values():
-    v = ClassVector((3, Fraction(1, 2), Fraction(4, 2), -1))
-    assert [type(c) for c in v.coords] == [int, Fraction, Fraction, int]
-    assert v.coords == (3, Fraction(1, 2), 2, -1)
-    assert ClassVector((Fraction(3), 1)) == ClassVector((3, 1))
+def test_cone_generators_keep_exact_values():
+    (g,) = Cone(((3, Fraction(1, 2), Fraction(4, 2), -1),)).generators
+    assert [type(c) for c in g] == [int, Fraction, Fraction, int]
+    assert g == (3, Fraction(1, 2), 2, -1)
+    assert Cone(((Fraction(3), 1),)) == Cone(((3, 1),))
     combo = FunctionalCombo(6, ((3, 2), (2, Fraction(4, 2))))
     assert combo.terms == ((2, 2), (3, 2))
     assert [type(a) for _, a in combo.terms] == [Fraction, int]
@@ -113,13 +114,16 @@ def test_class_vector_keeps_exact_values():
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, Decimal("0.5"), "1/3"])
 @pytest.mark.parametrize("build", [
-    lambda x: QSeries(6, (1, x)),
+    lambda x: MillerBasis(6, ((1, x),)),
     lambda x: FunctionalCombo(6, ((1, x),)),
-    lambda x: ClassVector((1, x)),
-], ids=["QSeries", "FunctionalCombo", "ClassVector"])
+    lambda x: Cone(((1, x),)),
+    lambda x: Ray((1, x)),
+    lambda x: lp_feasible(2, [((1, x), 1)]),
+    lambda x: rank([(1, x)]),
+], ids=["MillerBasis", "FunctionalCombo", "Cone", "Ray", "lp_feasible", "rank"])
 def test_records_reject_values_that_are_not_rational(build, bad):
     # Fraction(0.1) is the binary float, not 1/10: no float may enter an
-    # exact decision through a record
+    # exact decision through a record or a function that takes numbers
     with pytest.raises(TypeError, match="is not rational"):
         build(bad)
 
@@ -127,7 +131,7 @@ def test_records_reject_values_that_are_not_rational(build, bad):
 def test_coordinates_at_weight_12():
     basis = miller_basis(12, 6)
     v = coordinates(heegner_class(2, 12), basis)
-    assert v.coords == (Fraction(196560), Fraction(-24))
+    assert v == (Fraction(196560), Fraction(-24))
 
 
 def test_coordinates_precision_guard():
@@ -136,13 +140,16 @@ def test_coordinates_precision_guard():
         coordinates(heegner_class(6, 12), basis)
 
 
+def test_coordinates_weight_guard():
+    with pytest.raises(ValueError, match="combo weight 6 != basis weight 10"):
+        coordinates(heegner_class(1, 6), miller_basis(10, 4))
+
+
 def test_evaluate_examples():
     e10 = eisenstein(10, 4)
     assert evaluate(omega_class(10), e10) == -1
     assert evaluate(heegner_class(1, 6), eisenstein(6, 3)) == -504
     assert evaluate(FunctionalCombo(6, ()), eisenstein(6, 3)) == 0
-    with pytest.raises(ValueError):
-        evaluate(heegner_class(1, 6), e10)
     with pytest.raises(ValueError):
         evaluate(heegner_class(9, 10), e10)
 
@@ -157,10 +164,10 @@ def test_representation_consistency():
         for _ in range(20):
             xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                   for _ in range(d)]
-            f = QSeries(k, tuple(
-                sum(x * g.coefficients[i] for x, g in zip(xs, basis.basis))
+            f = tuple(
+                sum(x * g[i] for x, g in zip(xs, basis.rows))
                 for i in range(basis.precision)
-            ))
+            )
             combo = FunctionalCombo(
                 k,
                 tuple(
@@ -170,7 +177,7 @@ def test_representation_consistency():
             )
             direct = evaluate(combo, f)
             paired = sum(
-                c * x for c, x in zip(coordinates(combo, basis).coords, xs)
+                c * x for c, x in zip(coordinates(combo, basis), xs)
             )
             assert direct == paired
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import ROOT, SRC
 from cyclecones import classes, cli, cones
-from cyclecones.classes import ClassVector, eisenstein_identity_scan
+from cyclecones.classes import eisenstein_identity_scan
 from cyclecones.cli import main
 from cyclecones.qseries import dim_mk, miller_basis
 from oracles import (
@@ -461,12 +461,12 @@ def prefix_cones(draw):
         st.tuples(st.integers(0, len(rays) - 1), st.integers(1, 3)),
         min_size=2, max_size=10,
     ))
-    gens = tuple(ClassVector(tuple(f * c for c in rays[i])) for i, f in picks)
+    gens = tuple(tuple(f * c for c in rays[i]) for i, f in picks)
     return cones.Cone(gens), draw(st.integers(1, len(gens) - 1))
 
 
 def _cone_of(*gens):
-    return cones.Cone(tuple(ClassVector(g) for g in gens))
+    return cones.Cone(gens)
 
 
 @settings(max_examples=150, deadline=None)

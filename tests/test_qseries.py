@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecones import qseries
+from cyclecones.classes import (
+    coordinates,
+    heegner_class,
+    omega_class,
+    primitive_heegner_class,
+)
 from cyclecones.qseries import (
-    QSeries,
     _mul,
     dim_mk,
     dump_miller_basis,
@@ -40,21 +45,21 @@ def test_dim_matches_monomial_rank():
 
 def test_eisenstein_examples():
     e4 = eisenstein(4, 3)
-    assert e4.coefficients == (1, 240, 2160)
+    assert e4 == (1, 240, 2160)
     e6 = eisenstein(6, 2)
-    assert e6.coefficients == (1, -504)
+    assert e6 == (1, -504)
     for k in (4, 8, 10, 16):
-        assert eisenstein(k, 1).coefficients[0] == 1
+        assert eisenstein(k, 1) == (1,)
 
 
 def test_eisenstein_matches_brute_force_divisor_sums():
     for k in range(4, 61, 2):
-        assert eisenstein(k, 300).coefficients == eisenstein_ints(k, 300), k
+        assert eisenstein(k, 300) == eisenstein_ints(k, 300), k
 
 
 def test_eisenstein_is_integral_exactly_where_its_scale_is():
     for k in range(4, 41, 2):
-        coefficients = eisenstein(k, 50).coefficients
+        coefficients = eisenstein(k, 50)
         types = {type(c) for c in coefficients}
         if k in (4, 6, 8, 10, 14):  # -2k/B_k is an int
             assert types == {int}, k
@@ -104,8 +109,7 @@ def delta(precision):
     """Delta's coefficients through qseries' own integer helpers, read at
     call time so that a test can replace one of them."""
     return qseries._delta_ints(
-        qseries.eisenstein(4, precision).coefficients,
-        qseries.eisenstein(6, precision).coefficients,
+        qseries.eisenstein(4, precision), qseries.eisenstein(6, precision)
     )
 
 
@@ -115,7 +119,7 @@ def test_delta_examples():
 
 def test_e4_cube_minus_e6_square_is_cuspidal_multiple_of_1728():
     n = 200
-    e4, e6 = eisenstein(4, n).coefficients, eisenstein(6, n).coefficients
+    e4, e6 = eisenstein(4, n), eisenstein(6, n)
     diff = [
         x - y for x, y in zip(_mul(_mul(e4, e4), e4), _mul(e6, e6))
     ]
@@ -127,15 +131,15 @@ def test_e4_cube_minus_e6_square_is_cuspidal_multiple_of_1728():
 def test_miller_examples():
     b6 = miller_basis(6, 8)
     assert b6.dimension == 1
-    assert b6.basis[0].coefficients == eisenstein(6, 8).coefficients
+    assert b6.rows == (eisenstein(6, 8),)
 
     b0 = miller_basis(0, 3)
     assert b0.dimension == 1
-    assert b0.basis[0].coefficients == (1, 0, 0)
+    assert b0.rows == ((1, 0, 0),)
 
     b12 = miller_basis(12, 8)
     assert b12.dimension == 2
-    assert b12.basis[1].coefficients == tuple(delta(8))
+    assert b12.rows[1] == tuple(delta(8))
 
 
 def test_miller_empty_spaces():
@@ -153,10 +157,10 @@ def test_miller_pivot_property_and_integrality():
     for k in range(4, 62, 2):
         d = dim_mk(k)
         basis = miller_basis(k, 2 * d)
-        for i, f in enumerate(basis.basis):
+        for i, f in enumerate(basis.rows):
             for j in range(d):
-                assert f.coefficients[j] == (1 if i == j else 0)
-            for c in f.coefficients:
+                assert f[j] == (1 if i == j else 0)
+            for c in f:
                 assert c.denominator == 1
 
 
@@ -168,7 +172,7 @@ def test_hecke_operators_preserve_the_miller_span(p):
     n_prec = 60
     for k in range(4, 100, 2):
         basis = miller_basis(k, n_prec)
-        rows = [f.coefficients for f in basis.basis]
+        rows = basis.rows
         top = (n_prec - 1) // p
         assert top >= basis.dimension - 1
         for a in rows:
@@ -212,8 +216,7 @@ def test_delta_rejects_an_inexact_1728_division(monkeypatch):
     def wrong_e6(k, precision):
         out = real(k, precision)
         if k == 6:
-            c = out.coefficients
-            out = QSeries(k, (*c[:3], c[3] + 1, *c[4:]))
+            out = (*out[:3], out[3] + 1, *out[4:])
         return out
 
     monkeypatch.setattr(qseries, "eisenstein", wrong_e6)
@@ -274,9 +277,13 @@ def test_miller_rows_are_ints_and_reload_byte_identically():
         text = dump_miller_basis(basis)
         loaded = load_miller_basis(text)
         for b in (basis, loaded):
-            assert all(
-                type(c) is int for f in b.basis for c in f.coefficients
-            )
+            assert all(type(c) is int for f in b.rows for c in f)
+            # -c_0, H_m and P_m, P_4 = c_4 - c_1 among them
+            for combo in (omega_class(k), *(
+                build(m, k) for m in (4, n - 1)
+                for build in (heegner_class, primitive_heegner_class)
+            )):
+                assert all(type(c) is int for c in coordinates(combo, b))
         assert loaded == basis
         assert dump_miller_basis(loaded) == text
 
