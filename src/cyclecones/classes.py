@@ -15,13 +15,14 @@ from fractions import Fraction
 from math import gcd
 
 from .numtheory import (
+    _divisor_sums,
+    _eisenstein_scale,
     _exact,
     _Record,
     _sigma,
     factorize,
     zeta_negative,
 )
-from .qseries import MillerBasis, _divisor_sums, _eisenstein_scale
 
 __all__ = [
     "FunctionalCombo",
@@ -102,11 +103,10 @@ def _primitive_terms(m: int, pairs) -> list[tuple[int, int]]:
     return terms
 
 
-def coordinates(
-    combo: FunctionalCombo, basis: MillerBasis
-) -> tuple[int | Fraction, ...]:
-    """The coordinates of the combo in the basis dual to the Miller basis:
-    coordinate i is the combo applied to the i-th Miller row.
+def coordinates(combo: FunctionalCombo, basis) -> tuple[int | Fraction, ...]:
+    """The coordinates of the combo in the basis dual to the Miller basis
+    (a qseries.MillerBasis): coordinate i is the combo applied to the i-th
+    Miller row.
 
     The Miller rows are ints, so an integer combination has int
     coordinates.

@@ -12,37 +12,14 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import chain, islice
 from pathlib import Path
 
-from .classes import eisenstein_identity_scan, weight_for_signature
-from .cones import (
-    NotPointedError,
-    Ray,
-    accumulation_cone_model,
-    convergence_scan,
-    extremal_generators,
-    span_dimension,
-)
-from .lattice import (
-    HalfIntegralMatrix,
-    build_even_unimodular,
-    common_component_family,
-    gauss_reduce,
-    is_positive_definite,
-    moment_matrix,
-    norm_q,
-)
-from .qseries import (
-    MillerBasis,
-    dim_mk,
-    dump_miller_basis,
-    load_miller_basis,
-    miller_basis,
-)
+# Each command imports the library modules it runs, and json only where
+# JSON is read or written: without bytecode files every import compiles
+# its module, so a command compiles only what it runs.
 
 __all__ = ["main"]
 
@@ -56,6 +33,8 @@ def _resolve_weight(n, weight) -> tuple[int, int, bool]:
     if (n is None) == (weight is None):
         raise UsageError("give exactly one of --n or --weight")
     if n is not None:
+        from .classes import weight_for_signature
+
         k = weight_for_signature(n)
     else:
         k = weight
@@ -96,8 +75,8 @@ def _note_physicality(args) -> None:
         )
 
 
-def _cached_basis(args) -> MillerBasis:
-    """Miller basis of args.weight, via the disk cache, at the precision
+def _cached_basis(args):
+    """The MillerBasis of args.weight, via the disk cache, at the precision
     max(max-m + 1, dim M_k) that indices up to max-m and the identity
     block need.
 
@@ -106,6 +85,13 @@ def _cached_basis(args) -> MillerBasis:
     temporary name in the same directory and renamed into place, so an
     interrupted or failed write never leaves a partial cache file.
     """
+    from .qseries import (
+        dim_mk,
+        dump_miller_basis,
+        load_miller_basis,
+        miller_basis,
+    )
+
     k = args.weight
     n_prec = max(args.max_m + 1, dim_mk(k))
     if args.cache_dir is None:
@@ -175,6 +161,8 @@ def cmd_identities(args) -> int:
     comparisons are exactly equal.  Rows are written as the scan makes
     them.  JSON's all_equal comes before its records, so they wait in an
     anonymous temporary file and stdout gets no byte until the scan ends."""
+    from .classes import eisenstein_identity_scan
+
     _note_physicality(args)
     failed = []  # the m of the first failed check, once it is written
 
@@ -194,6 +182,7 @@ def cmd_identities(args) -> int:
             ),
         )
     else:
+        import json
         import tempfile  # only JSON output spools
 
         with tempfile.TemporaryFile() as spool:
@@ -232,6 +221,8 @@ def cmd_identities(args) -> int:
 
 def cmd_converge(args) -> int:
     """Exact ray distances toward the Kähler ray for m <= max_m."""
+    from .cones import convergence_scan
+
     _note_physicality(args)
     basis = _cached_basis(args)
     rows = convergence_scan(
@@ -246,6 +237,8 @@ def cmd_converge(args) -> int:
             ),
         )
     else:
+        import json
+
         doc = {
             "max_m": args.max_m,
             "n": args.n,
@@ -269,6 +262,16 @@ def cmd_converge(args) -> int:
 def cmd_cone(args) -> int:
     """Span dimension, pointedness, extremal rays, and a stabilization
     comparison at max_m/2 versus max_m for the truncated cone model."""
+    import json
+
+    from .cones import (
+        NotPointedError,
+        Ray,
+        accumulation_cone_model,
+        extremal_generators,
+        span_dimension,
+    )
+
     basis = _cached_basis(args)
     cone = accumulation_cone_model(basis, args.max_m)
     half_m = max(1, args.max_m // 2)
@@ -288,7 +291,8 @@ def cmd_cone(args) -> int:
         doc["pointed"] = False
     else:
         doc["pointed"] = True
-        rays = {Ray(cone.generators[j]) for j in idx}
+        by_index = [(j, Ray(cone.generators[j])) for j in idx]
+        rays = {ray for _, ray in by_index}
         doc["extremal_indices"] = idx
         doc["extremal_rays"] = [
             [_frac_str(c) for c in canonical]
@@ -296,13 +300,15 @@ def cmd_cone(args) -> int:
         ]
         # the half cone omega, P_1 .. P_half_m has the cone's extremal rays
         # exactly when each of them has an index <= half_m in idx
-        half = {Ray(cone.generators[j]) for j in idx if j <= half_m}
+        half = {ray for j, ray in by_index if j <= half_m}
         doc["extremal_stable"] = half == rays
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
 def _parse_int_matrix(text: str, what: str):
+    import json
+
     usage = f"{what} must be a JSON array of integer rows"
     try:
         rows = json.loads(text)
@@ -322,6 +328,18 @@ _LATTICE_MAX_N = 1002
 
 
 def cmd_lattice(args) -> int:
+    import json
+
+    from .lattice import (
+        HalfIntegralMatrix,
+        build_even_unimodular,
+        common_component_family,
+        gauss_reduce,
+        is_positive_definite,
+        moment_matrix,
+        norm_q,
+    )
+
     if args.subcommand == "reduce":  # a reduction reads no lattice
         rows = _parse_int_matrix(args.doubled, "--doubled")
         t = HalfIntegralMatrix(tuple(tuple(r) for r in rows))

@@ -1,5 +1,6 @@
 """Exact arithmetic functions: Bernoulli numbers, zeta values at negative
-integers, factorization by trial division, and divisor sums.
+integers, factorization by trial division, divisor sums, and the scale
+-2k/B_k of the Eisenstein series E_k.
 
 Everything returns exact values (``int`` or ``fractions.Fraction``); no
 floating point is used anywhere.
@@ -132,6 +133,16 @@ def _sigma(pairs, s: int) -> int:
     return total
 
 
+def _divisor_sums(s: int, precision: int) -> list[int]:
+    """[0, sigma_s(1), ..., sigma_s(precision - 1)] by a sieve: d^s is added
+    at every multiple of every d, and no m is factorized."""
+    sums = [0] * precision
+    for d in range(1, precision):
+        power = d**s
+        sums[d::d] = [x + power for x in sums[d::d]]
+    return sums
+
+
 def _trial_divisors(m):
     yield 2
     yield 3
@@ -167,3 +178,10 @@ def zeta_negative(s: int) -> Fraction:
     if s < 1:
         raise ValueError(f"zeta_negative requires s >= 1, got {s}")
     return -bernoulli(s + 1) / (s + 1)
+
+
+def _eisenstein_scale(k: int) -> Fraction:
+    """The factor -2k/B_k of E_k = 1 + (-2k/B_k) sum_m sigma_{k-1}(m) q^m."""
+    if k % 2 == 1 or k < 4:
+        raise ValueError(f"Eisenstein series needs even k >= 4, got {k}")
+    return Fraction(-2 * k) / bernoulli(k)

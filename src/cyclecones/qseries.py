@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numtheory import _exact, _Record, bernoulli
+from .numtheory import _divisor_sums, _eisenstein_scale, _exact, _Record
 
 __all__ = [
     "MillerBasis",
@@ -29,23 +29,6 @@ def dim_mk(k: int) -> int:
     if k < 0 or k % 2 == 1 or k == 2:
         return 0
     return k // 12 + (0 if k % 12 == 2 else 1)
-
-
-def _divisor_sums(s: int, precision: int) -> list[int]:
-    """[0, sigma_s(1), ..., sigma_s(precision - 1)] by a sieve: d^s is added
-    at every multiple of every d, and no m is factorized."""
-    sums = [0] * precision
-    for d in range(1, precision):
-        power = d**s
-        sums[d::d] = [x + power for x in sums[d::d]]
-    return sums
-
-
-def _eisenstein_scale(k: int) -> Fraction:
-    """The factor -2k/B_k of E_k = 1 + (-2k/B_k) sum_m sigma_{k-1}(m) q^m."""
-    if k % 2 == 1 or k < 4:
-        raise ValueError(f"Eisenstein series needs even k >= 4, got {k}")
-    return Fraction(-2 * k) / bernoulli(k)
 
 
 def eisenstein(k: int, precision: int) -> tuple[int | Fraction, ...]:

@@ -32,12 +32,50 @@ def test_all_lists_the_public_names(name):
     assert defined <= set(mod.__all__)
 
 
-def test_package_reexports_only_listed_names():
-    for attr, obj in vars(cyclecones).items():
-        if attr.startswith("_") or inspect.ismodule(obj):
-            continue
+# the names the package re-exports, each loaded on first use
+REEXPORTED = {
+    "FunctionalCombo", "coordinates", "eisenstein_identity_scan",
+    "heegner_class", "omega_class", "primitive_heegner_class",
+    "weight_for_signature",
+    "Cone", "NotPointedError", "Ray", "accumulation_cone_model",
+    "convergence_scan", "extremal_generators", "extremal_rays", "is_pointed",
+    "lp_feasible", "omega_ray", "pointedness_witness", "ray_distance",
+    "span_dimension",
+    "EvenLattice", "HalfIntegralMatrix", "build_even_unimodular",
+    "common_component_family", "gauss_reduce", "inner",
+    "is_positive_definite", "is_primitive", "moment_matrix", "norm_q",
+    "vector_of_norm",
+    "bernoulli", "factorize", "zeta_negative",
+    "MillerBasis", "dim_mk", "dump_miller_basis", "eisenstein",
+    "load_miller_basis", "miller_basis",
+}
+
+
+def test_package_reexports_only_listed_names(run_python):
+    assert len(cyclecones.__all__) == len(REEXPORTED)
+    assert set(cyclecones.__all__) == REEXPORTED
+    assert REEXPORTED <= set(dir(cyclecones))
+    for attr in cyclecones.__all__:
+        obj = getattr(cyclecones, attr)
         mod = importlib.import_module(obj.__module__)
         assert attr in mod.__all__, (attr, mod.__name__)
+        assert getattr(mod, attr) is obj, attr
+    # once every name is loaded, the namespace holds no other public name
+    loaded = {
+        attr for attr, obj in vars(cyclecones).items()
+        if not attr.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert loaded == REEXPORTED
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclecones.no_such_name
+    proc = run_python(
+        "-S", "-c",
+        "before = set(globals())\n"
+        "from cyclecones import *\n"
+        "print(*sorted(set(globals()) - before - {'before'}))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(REEXPORTED)
 
 
 def test_cli_binds_only_public_names():
@@ -56,6 +94,45 @@ def test_cli_binds_only_public_names():
         if name not in importlib.import_module(f"cyclecones.{module}").__all__
     ]
     assert private == []
+
+
+def _package_imports(name, top_level_only=False) -> set[str]:
+    """The package modules that module name imports from, by relative or
+    absolute import, anywhere in it or only at its top level."""
+    path = Path(cyclecones.__file__).parent / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    nodes = tree.body if top_level_only else ast.walk(tree)
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.startswith("cyclecones."):
+                found.add(node.module.removeprefix("cyclecones."))
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("cyclecones.")
+                         for alias in node.names
+                         if alias.name.startswith("cyclecones."))
+    return found
+
+
+def test_cli_imports_the_library_only_inside_its_commands():
+    # a command imports the modules it runs when it runs, so that no
+    # command compiles the modules of another
+    assert _package_imports("cli", top_level_only=True) == set()
+    assert _package_imports("cli") == {"classes", "cones", "lattice", "qseries"}
+
+
+@pytest.mark.parametrize("name, kept_out", [
+    ("classes", {"qseries", "cones", "lattice", "linalg"}),
+    ("lattice", {"classes", "qseries", "cones"}),
+])
+def test_module_layering(name, kept_out):
+    # an identities command loads classes and numtheory alone, and a
+    # lattice command lattice, linalg and numtheory
+    imported = _package_imports(name)
+    assert imported and not imported & kept_out, imported
 
 
 def test_package_has_no_assert_statements():

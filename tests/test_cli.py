@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, SRC
-from cyclecones import classes, cli, cones
+from cyclecones import classes, cli, cones, lattice, qseries
 from cyclecones.classes import eisenstein_identity_scan
 from cyclecones.cli import main
 from cyclecones.qseries import dim_mk, miller_basis
@@ -480,7 +480,7 @@ def test_cone_report_stability_on_random_prefixes(case):
     cone, half_m = case
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
-        mp.setattr(cli, "accumulation_cone_model", lambda basis, m: cone)
+        mp.setattr(cones, "accumulation_cone_model", lambda basis, m: cone)
         code = main(["cone", "--weight", "6", "--max-m", str(2 * half_m)])
     assert code == 0
     doc = json.loads(out.getvalue())
@@ -545,7 +545,7 @@ def test_bad_cache_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     def no_basis(*args):
         raise AssertionError("a basis was built")
 
-    monkeypatch.setattr(cli, "miller_basis", no_basis)
+    monkeypatch.setattr(qseries, "miller_basis", no_basis)
     regular_file = tmp_path / "file"
     regular_file.write_text("")
     for command in ("converge", "cone"):
@@ -803,7 +803,7 @@ def test_lattice_n_above_the_ceiling_exits_2_before_any_work(
     def build(n):
         raise AssertionError(f"built a lattice at n={n}")
 
-    monkeypatch.setattr(cli, "build_even_unimodular", build)
+    monkeypatch.setattr(lattice, "build_even_unimodular", build)
     code, out, err = run(capsys, "lattice", argv[0], "--n", "1000002", *argv[1:])
     assert (code, out, err) == (
         2, "", "error: --n must be <= 1002, got 1000002\n"
@@ -850,6 +850,49 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv(run_python):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_IDENTITY_MODULES = ["classes", "cli", "numtheory"]
+_LATTICE_MODULES = ["cli", "lattice", "linalg", "numtheory"]
+_SERIES_MODULES = ["classes", "cli", "cones", "linalg", "numtheory", "qseries"]
+
+
+@pytest.mark.parametrize("argv, modules, loads_json", [
+    pytest.param("identities --n 18 --max-m 20", _IDENTITY_MODULES, False,
+                 id="identities"),
+    pytest.param("identities --n 18 --max-m 20 --format json",
+                 _IDENTITY_MODULES, True, id="identities-json"),
+    pytest.param("lattice build --n 10", _LATTICE_MODULES, True,
+                 id="lattice-build"),
+    pytest.param("lattice moment --n 10 --vectors [[1,1,0,0,0,0,0,0,0,0,0,0]]",
+                 _LATTICE_MODULES, True, id="lattice-moment"),
+    pytest.param("lattice reduce --doubled [[4,3],[3,4]]", _LATTICE_MODULES,
+                 True, id="lattice-reduce"),
+    pytest.param("lattice family --n 10 --m 3 --jmax 2", _LATTICE_MODULES,
+                 True, id="lattice-family"),
+    pytest.param("converge --n 34 --max-m 20", _SERIES_MODULES, False,
+                 id="converge"),
+    pytest.param("converge --n 34 --max-m 20 --format json", _SERIES_MODULES,
+                 True, id="converge-json"),
+    pytest.param("cone --n 34 --max-m 20", _SERIES_MODULES, True, id="cone"),
+])
+def test_each_command_loads_only_the_modules_it_runs(
+    run_python, argv, modules, loads_json
+):
+    # without bytecode files each module a command imports is compiled
+    # again on every run; -S keeps site-packages hooks out of sys.modules
+    proc = run_python(
+        "-S", "-c",
+        "import sys; from cyclecones.cli import main; "
+        "code = main(sys.argv[1:]); sys.stdout.flush(); "
+        "print(code, sorted(m.split('.')[1] for m in sys.modules "
+        "if m.startswith('cyclecones.')), 'json' in sys.modules, "
+        "file=sys.stderr)",
+        *argv.split(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert proc.stderr.splitlines()[-1] == f"0 {modules} {loads_json}"
 
 
 def test_usage_error_exit_code_from_argparse():
