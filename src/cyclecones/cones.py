@@ -21,7 +21,6 @@ from .classes import (
     omega_class,
     primitive_heegner_class,
 )
-from .linalg import rank
 from .numtheory import _exact, _Record, _scaled
 from .qseries import MillerBasis
 
@@ -384,6 +383,10 @@ def extremal_rays(cone: Cone) -> set[Ray]:
 
 def span_dimension(cone: Cone) -> int:
     """Rank of the generator matrix by exact fraction-free elimination."""
+    # imported here, as only cone reports need it, so that a converge
+    # command does not compile linalg
+    from .linalg import rank
+
     if not cone.generators:
         return 0
     return rank(cone.generators)

@@ -124,6 +124,13 @@ def test_cli_imports_the_library_only_inside_its_commands():
     assert _package_imports("cli") == {"classes", "cones", "lattice", "qseries"}
 
 
+def test_cones_imports_linalg_only_where_a_cone_report_needs_it():
+    # span_dimension, which only cone reports call, imports linalg when
+    # it runs, so that a converge command does not compile it
+    assert "linalg" not in _package_imports("cones", top_level_only=True)
+    assert "linalg" in _package_imports("cones")
+
+
 @pytest.mark.parametrize("name, kept_out", [
     ("classes", {"qseries", "cones", "lattice", "linalg"}),
     ("lattice", {"classes", "qseries", "cones"}),

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import math
@@ -854,7 +855,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv(run_python):
 
 _IDENTITY_MODULES = ["classes", "cli", "numtheory"]
 _LATTICE_MODULES = ["cli", "lattice", "linalg", "numtheory"]
-_SERIES_MODULES = ["classes", "cli", "cones", "linalg", "numtheory", "qseries"]
+_CONVERGE_MODULES = ["classes", "cli", "cones", "numtheory", "qseries"]
+_CONE_MODULES = ["classes", "cli", "cones", "linalg", "numtheory", "qseries"]
 
 
 @pytest.mark.parametrize("argv, modules, loads_json", [
@@ -870,11 +872,11 @@ _SERIES_MODULES = ["classes", "cli", "cones", "linalg", "numtheory", "qseries"]
                  True, id="lattice-reduce"),
     pytest.param("lattice family --n 10 --m 3 --jmax 2", _LATTICE_MODULES,
                  True, id="lattice-family"),
-    pytest.param("converge --n 34 --max-m 20", _SERIES_MODULES, False,
+    pytest.param("converge --n 34 --max-m 20", _CONVERGE_MODULES, False,
                  id="converge"),
-    pytest.param("converge --n 34 --max-m 20 --format json", _SERIES_MODULES,
-                 True, id="converge-json"),
-    pytest.param("cone --n 34 --max-m 20", _SERIES_MODULES, True, id="cone"),
+    pytest.param("converge --n 34 --max-m 20 --format json",
+                 _CONVERGE_MODULES, True, id="converge-json"),
+    pytest.param("cone --n 34 --max-m 20", _CONE_MODULES, True, id="cone"),
 ])
 def test_each_command_loads_only_the_modules_it_runs(
     run_python, argv, modules, loads_json
@@ -893,6 +895,86 @@ def test_each_command_loads_only_the_modules_it_runs(
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert proc.stderr.splitlines()[-1] == f"0 {modules} {loads_json}"
+
+
+# main() as the console script and python -m call it, with the arguments
+# that -c leaves in sys.argv; the atexit hook is registered first, so it
+# runs last, after any hook that main registers
+_FREEZE_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+from cyclecones.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    ("identities --n 18 --max-m 20", 0),
+    ("lattice build --n 10", 0),
+    ("converge --n 34 --max-m 20", 0),
+    ("identities --n 11", 2),  # a usage error that main reports
+])
+def test_process_entry_point_freezes_the_heap(run_python, argv, status):
+    proc = run_python("-S", "-c", _FREEZE_PROBE, *argv.split())
+    assert proc.returncode == status, proc.stderr
+    word, count = proc.stderr.splitlines()[-1].split()
+    assert word == "frozen" and int(count) > 0, proc.stderr
+
+
+def test_in_process_main_does_not_freeze_the_heap(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "lattice", "build", "--n", "10")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+# after main returns, the open files other than the standard streams and
+# the buffers and raw files under them, garbage cycles included
+_OPEN_FILES_PROBE = """\
+import gc, io, sys
+from cyclecones.cli import main
+code = main(sys.argv[1:])
+std = set()
+for f in (sys.stdin, sys.stdout, sys.stderr):
+    while f is not None:
+        std.add(id(f))
+        f = getattr(f, "buffer", None) or getattr(f, "raw", None)
+print(code, [repr(o) for o in gc.get_objects() if isinstance(o, io.IOBase)
+             and id(o) not in std and not o.closed], file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "lattice build --n 10",
+    "identities --n 18 --max-m 200 --format json",  # spools its records
+    "converge --n 34 --max-m 20 --cache-dir CACHE",  # writes the cache
+    "cone --n 34 --max-m 20 --cache-dir CACHE",
+])
+def test_no_file_is_left_open_after_main(run_python, tmp_path, argv):
+    # the process freezes its heap once main returns, so the collections
+    # at exit would not close a file that a garbage cycle holds
+    argv = [str(tmp_path) if a == "CACHE" else a for a in argv.split()]
+    proc = run_python("-S", "-c", _OPEN_FILES_PROBE, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "0 []\n")
+    assert proc.stdout
+    if "--cache-dir" in argv:
+        assert [f.name for f in tmp_path.iterdir()] == ["miller_k18_N21.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    "identities --n 18 --max-m 200 --format json",
+    "converge --n 34 --max-m 20 --cache-dir CACHE",
+])
+def test_dev_mode_entry_point_warns_of_nothing(run_python, tmp_path, argv):
+    # -X dev warns of each file that is never closed, and -W error makes
+    # that an error; the output matches a plain run's
+    runs = []
+    for flags in (("-X", "dev", "-W", "error"), ()):
+        cache = str(tmp_path / f"cache{len(runs)}")
+        args = [cache if a == "CACHE" else a for a in argv.split()]
+        proc = run_python(*flags, "-m", "cyclecones.cli", *args)
+        assert (proc.returncode, proc.stderr) == (0, ""), flags
+        runs.append(proc.stdout)
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_usage_error_exit_code_from_argparse():
