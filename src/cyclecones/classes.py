@@ -4,20 +4,19 @@ A degree-2 class is identified with its preimage in the dual of the
 weight-k form space: the functional c_m extracts the m-th q-coefficient,
 the Heegner divisor class corresponds to c_m, the Kähler class to -c_0,
 and primitive Heegner classes arise by Möbius inversion over square
-divisors.  A class's coordinates, in the basis dual to a Miller basis,
-are a tuple of ints and Fractions.
+divisors.  Coefficients are ints, so a class's coordinates, in the basis
+dual to a Miller basis, are a tuple of ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from math import gcd
 
 from .numtheory import (
     _divisor_sums,
     _eisenstein_scale,
-    _exact,
+    _ints,
     _Record,
     _sigma,
     factorize,
@@ -47,24 +46,25 @@ def weight_for_signature(n: int) -> int:
 class FunctionalCombo(_Record):
     """Finite combination sum_m a_m c_m of coefficient functionals.
 
-    Terms are stored sorted by index with zero coefficients dropped; an
-    int or Fraction coefficient is kept as given, another rational is
-    converted by Fraction, and a float or a str raises TypeError.
+    Terms are stored sorted by index with zero coefficients dropped; the
+    coefficients are checked by _ints, so anything but an int (a
+    Fraction, a bool, a float) raises TypeError.
     """
 
     __slots__ = ("weight", "terms")
 
     def __init__(
-        self, weight: int, terms: tuple[tuple[int, int | Fraction], ...]
+        self, weight: int, terms: tuple[tuple[int, int], ...]
     ) -> None:
-        terms = sorted(t for t in terms if t[1] != 0)
+        terms = [(m, a) for m, a in terms]
+        _ints(a for _, a in terms)  # before zeros go, so 0.0 raises too
+        terms = sorted(t for t in terms if t[1])
         indices = [m for m, _ in terms]
         if any(m < 0 for m in indices):
             raise ValueError("functional indices must be >= 0")
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate functional indices")
-        coeffs = _exact(a for _, a in terms)
-        super().__init__(weight, tuple(zip(indices, coeffs)))
+        super().__init__(weight, tuple(terms))
 
     def max_index(self) -> int:
         return self.terms[-1][0] if self.terms else 0
@@ -103,13 +103,10 @@ def _primitive_terms(m: int, pairs) -> list[tuple[int, int]]:
     return terms
 
 
-def coordinates(combo: FunctionalCombo, basis) -> tuple[int | Fraction, ...]:
+def coordinates(combo: FunctionalCombo, basis) -> tuple[int, ...]:
     """The coordinates of the combo in the basis dual to the Miller basis
     (a qseries.MillerBasis): coordinate i is the combo applied to the i-th
-    Miller row.
-
-    The Miller rows are ints, so an integer combination has int
-    coordinates.
+    Miller row, an int as the combo and the rows hold ints.
     """
     if combo.weight != basis.weight:
         raise ValueError(

@@ -29,11 +29,19 @@ class UsageError(Exception):
     pass
 
 
+# the largest --n of every command, so weight 502: the Gram matrix of
+# U+U+E8^j has (n+2)^2 entries, about a million at n = 1002
+_MAX_N = 1002
+
+
 def _resolve_weight(n, weight) -> tuple[int, int, bool]:
-    """Exactly one of n (signature) or weight may be given; k = 1 + n/2."""
+    """Exactly one of n (signature) or weight may be given; k = 1 + n/2,
+    and n is at most _MAX_N."""
     if (n is None) == (weight is None):
         raise UsageError("give exactly one of --n or --weight")
     if n is not None:
+        if n > _MAX_N:
+            raise UsageError(f"--n must be <= {_MAX_N}, got {n}")
         from .classes import weight_for_signature
 
         k = weight_for_signature(n)
@@ -41,6 +49,8 @@ def _resolve_weight(n, weight) -> tuple[int, int, bool]:
         k = weight
         if k % 2 or k < 4:
             raise UsageError(f"--weight must be even and >= 4, got {k}")
+        if k > 1 + _MAX_N // 2:
+            raise UsageError(f"--weight must be <= {1 + _MAX_N // 2}, got {k}")
         n = 2 * (k - 1)
     return k, n, n % 8 == 2
 
@@ -323,11 +333,6 @@ def _parse_int_matrix(text: str, what: str):
     return rows
 
 
-# the largest lattice --n: the Gram matrix of U+U+E8^j has (n+2)^2
-# entries, about a million at n = 1002
-_LATTICE_MAX_N = 1002
-
-
 def cmd_lattice(args) -> int:
     import json
 
@@ -354,8 +359,8 @@ def cmd_lattice(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
-    if args.n > _LATTICE_MAX_N:
-        raise UsageError(f"--n must be <= {_LATTICE_MAX_N}, got {args.n}")
+    if args.n > _MAX_N:
+        raise UsageError(f"--n must be <= {_MAX_N}, got {args.n}")
     lattice = build_even_unimodular(args.n)
     if args.subcommand == "build":
         doc = {"gram": lattice.gram, "rank": lattice.rank,

@@ -1,13 +1,14 @@
-"""Exact rational ray and cone geometry.
+"""Exact ray and cone geometry on integer vectors.
 
-Rays are oriented (positive scaling only).  A ray is stored as its
-primitive integer vector; its canonical representative, normalized so the
-largest absolute coordinate is 1, is built only for printing.  Cone
-questions (pointedness, membership, extremality) are decided by an exact
-simplex with Bland's rule on integer rows, in the one LP form
-{x >= 0 : A x = b}.  Every answer is checked in ints: a feasible one by
-its witness, an infeasible one by its Farkas certificate.  No floating
-point enters any decision.
+Every vector taken in is a tuple of ints (numtheory._ints); Fractions
+appear only in returned values.  Rays are oriented (positive scaling
+only).  A ray is stored as its primitive integer vector; its canonical
+representative, normalized so the largest absolute coordinate is 1, is
+built only for printing.  Cone questions (pointedness, membership,
+extremality) are decided by an exact simplex with Bland's rule on
+integer rows, in the one LP form {x >= 0 : A x = b}.  Every answer is
+checked in ints: a feasible one by its witness, an infeasible one by its
+Farkas certificate.  No floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .classes import (
     omega_class,
     primitive_heegner_class,
 )
-from .numtheory import _exact, _Record, _scaled
+from .numtheory import _ints, _Record
 from .qseries import MillerBasis
 
 __all__ = [
@@ -47,23 +48,22 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _ray_key(coords) -> tuple[int, ...]:
-    """The primitive integer vector on the oriented ray of a nonzero
-    rational vector: the coordinates times the lcm of their denominators,
-    over the gcd of the result.  Two nonzero vectors lie on one oriented
+def _ray_key(g) -> tuple[int, ...]:
+    """The primitive integer vector on the oriented ray of a nonzero int
+    vector g, already checked.  Two nonzero vectors lie on one oriented
     ray exactly when their keys are equal."""
-    return tuple(_primitive(_scaled(coords)[0]))
+    return tuple(_primitive(g))
 
 
 class Ray(_Record):
-    """Oriented ray of a nonzero rational vector, held as its primitive
-    integer vector ``key``; two rays are equal exactly when their keys are
-    equal."""
+    """Oriented ray of a nonzero int vector, checked by _ints, held as its
+    primitive integer vector ``key``; two rays are equal exactly when
+    their keys are equal, and Ray(r.key) == r."""
 
     __slots__ = ("key",)
 
     def __init__(self, coords) -> None:
-        key = _ray_key(coords)
+        key = _ray_key(_ints(coords))
         if not any(key):
             raise ValueError("the zero vector spans no ray")
         super().__init__(key)
@@ -80,13 +80,14 @@ class Ray(_Record):
 
 
 class Cone(_Record):
-    """Finitely generated rational cone, kept as its generators: coordinate
-    tuples, each checked by _exact, so a float or a str raises TypeError."""
+    """Finitely generated cone, kept as its generators: int coordinate
+    tuples, each checked by _ints, so a Fraction or a float raises
+    TypeError."""
 
     __slots__ = ("generators",)
 
     def __init__(self, generators) -> None:
-        generators = tuple(map(_exact, generators))
+        generators = tuple(map(_ints, generators))
         if len({len(g) for g in generators}) > 1:
             raise ValueError("generators must share one dimension")
         if not all(map(any, generators)):
@@ -168,31 +169,27 @@ def accumulation_cone_model(basis: MillerBasis, truncation: int) -> Cone:
 # ---------------------------------------------------------------------------
 
 
-def _phase1(A, b, den, n):
-    """Feasibility of {x >= 0 : (A[i] . x) / den[i] == b[i] / den[i]}.
+def _phase1(A, b, n):
+    """Feasibility of {x >= 0 : A x = b}, A (n columns) and b of ints.
 
-    A (n columns) and b hold ints, den positive ints.  Returns (True,
-    (X, D)) with ints X and D > 0, the witness being X / D, or (False, Y)
-    with ints Y, a Farkas certificate on the integer rows: Y . A[:, j] <= 0
-    for every column j and Y . b > 0.
+    Returns (True, (X, D)) with ints X and D > 0, the witness being X / D,
+    or (False, Y) with ints Y, a Farkas certificate: Y . A[:, j] <= 0 for
+    every column j and Y . b > 0.
 
-    Dense Phase-I simplex: one artificial variable per row, minimize their
-    sum, Bland's rule for both entering and leaving choices (no cycling).
-    No Fraction is built: each tableau row is held in ints as the rational
-    tableau's row times a positive factor, its entry in its basic column.
-    Pricing reads signs only, the ratio test cross-multiplies, and a pivot
-    on p = T[r][e] > 0 replaces every other row by p*T_i - T_i[e]*T_r over
-    its gcd (Edmonds 1967).  Row i's artificial column holds den[i], so the
-    start is the rational tableau with row i scaled by den[i] and the
-    Phase-I objective is the rational system's; unit artificials would
-    weight the artificial sum by den and can end at another vertex.  The
-    canonical tableau at a basis is unique, so the pivots and the witness
-    are those of the rational tableau.
+    Dense Phase-I simplex: one unit artificial column per row, minimize
+    their sum, Bland's rule for both entering and leaving choices (no
+    cycling).  No Fraction is built: each tableau row is held in ints as
+    the rational tableau's row times a positive factor, its entry in its
+    basic column.  Pricing reads signs only, the ratio test
+    cross-multiplies, and a pivot on p = T[r][e] > 0 replaces every other
+    row by p*T_i - T_i[e]*T_r over its gcd (Edmonds 1967).  The canonical
+    tableau at a basis is unique, so the pivots and the witness are those
+    of the rational tableau.
 
     The reduced-cost row ends in its positive multiple mu of the cost
     vector: it is mu*c - sum_i z_i*T_i over the starting rows T_i, so
-    red[n+i] = mu - z_i*den[i].  At an optimum with a positive artificial
-    sum, z with the start's sign flips is the certificate (Farkas 1902).
+    red[n+i] = mu - z_i.  At an optimum with a positive artificial sum,
+    z with the start's sign flips is the certificate (Farkas 1902).
     """
     m = len(A)
     total = n + m
@@ -200,16 +197,14 @@ def _phase1(A, b, den, n):
     rows = []
     for i, sign in enumerate(signs):
         art = [0] * m
-        art[i] = den[i]
+        art[i] = 1
         rows.append([sign * x for x in A[i]] + art + [sign * b[i]])
     basis = [n + i for i in range(m)]
-    # reduced costs of the artificial sum, times lcm(den) > 0, then mu
-    scale = lcm(*den)
-    red = [0] * n + [scale] * m + [0]
-    for i, row in enumerate(rows):
-        f = scale // den[i]
-        red = [x - f * y for x, y in zip(red, row)]
-    red = _primitive(red + [scale])
+    # reduced costs of the artificial sum, then mu = 1
+    red = [0] * n + [1] * m + [0]
+    for row in rows:
+        red = [x - y for x, y in zip(red, row)]
+    red.append(1)
 
     while True:
         enter = next((j for j in range(total) if red[j] < 0), None)
@@ -245,8 +240,7 @@ def _phase1(A, b, den, n):
     # red[total] is minus the artificial sum, times a positive factor
     if red[total] < 0:
         mu = red[-1]
-        return False, [sign * (mu - red[n + i]) * (scale // den[i])
-                       for i, sign in enumerate(signs)]
+        return False, [s * (mu - red[n + i]) for i, s in enumerate(signs)]
     D = lcm(*(rows[i][j] for i, j in enumerate(basis) if j < n))
     X = [0] * n
     for i, j in enumerate(basis):
@@ -258,24 +252,22 @@ def _phase1(A, b, den, n):
 def lp_feasible(n_vars: int, eq):
     """Exact feasibility of {x >= 0 : coeffs . x == rhs for every row}.
 
-    ``eq`` rows are pairs (coefficients, rhs) of ints or Fractions;
-    anything else (a float, say) raises TypeError.  Returns (True, (X, D))
+    ``eq`` rows are pairs (coefficients, rhs) of ints, checked by _ints,
+    so a Fraction or a float raises TypeError.  Returns (True, (X, D))
     with the witness x = X / D, ints X >= 0 and D > 0, or (False, Y) with
-    a Farkas certificate, one int per row: sum_i Y[i] * coeffs_i <= 0 in
-    every column and sum_i Y[i] * rhs_i > 0.  Either answer is verified in
-    ints first; one that does not check raises ArithmeticError.
+    a primitive Farkas certificate, one int per row: sum_i Y[i] * coeffs_i
+    <= 0 in every column and sum_i Y[i] * rhs_i > 0.  Either answer is
+    verified in ints first; one that does not check raises ArithmeticError.
     """
-    # each row times the lcm of its denominators: the same feasible set
-    rows = [_scaled((*c, r)) for c, r in eq]
-    for ints, _ in rows:
-        if len(ints) != n_vars + 1:
+    rows = [_ints((*c, r)) for c, r in eq]
+    for row in rows:
+        if len(row) != n_vars + 1:
             raise ValueError(
-                f"row length {len(ints) - 1} does not match {n_vars} variables"
+                f"row length {len(row) - 1} does not match {n_vars} variables"
             )
-    A = [ints[:-1] for ints, _ in rows]
-    b = [ints[-1] for ints, _ in rows]
-    den = [s for _, s in rows]
-    feasible, answer = _phase1(A, b, den, n_vars)
+    A = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+    feasible, answer = _phase1(A, b, n_vars)
     if feasible:
         X, D = answer
         if len(X) != n_vars or D <= 0 or any(v < 0 for v in X):
@@ -291,8 +283,7 @@ def lp_feasible(n_vars: int, eq):
         or any(sum(y * c for y, c in zip(Y, col)) > 0 for col in zip(*A))
     ):
         raise ArithmeticError("LP infeasibility certificate does not check")
-    # row i was scaled by den[i]: the certificate of the rows as given
-    return False, _primitive([y * s for y, s in zip(Y, den)])
+    return False, _primitive(Y)
 
 
 def _in_cone(v, gens) -> bool:

@@ -3,15 +3,14 @@
 ``rank`` and ``det`` share one fraction-free elimination (Edmonds 1967,
 Bareiss 1968), in which every entry is a minor of the input and every
 division is exact; ``gram_signature`` reduces by integer congruence.
-``det`` and ``gram_signature`` take int entries only; ``rank`` also takes
-rational rows and scales each to integers.
+All three take int entries only, checked by numtheory._ints.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .numtheory import _scaled
+from .numtheory import _ints
 
 __all__ = ["rank", "det", "gram_signature"]
 
@@ -42,15 +41,12 @@ def _echelon(rows) -> list[tuple[int, list[int]]]:
 
 
 def rank(rows) -> int:
-    """Rank of a rational matrix, without building a Fraction for int rows."""
-    return len(_echelon(_scaled(row)[0] for row in rows))
+    """Rank of an integer matrix."""
+    return len(_echelon(map(_ints, rows)))
 
 
 def _square_ints(rows, what: str) -> list[list[int]]:
-    rows = [list(row) for row in rows]
-    for x in (x for row in rows for x in row):
-        if type(x) is not int:
-            raise TypeError(f"{what} needs int entries, got {x!r}")
+    rows = [list(_ints(row)) for row in rows]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError(f"{what} needs a square matrix")
     return rows

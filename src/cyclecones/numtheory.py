@@ -3,14 +3,14 @@ integers, factorization by trial division, divisor sums, and the scale
 -2k/B_k of the Eisenstein series E_k.
 
 Everything returns exact values (``int`` or ``fractions.Fraction``); no
-floating point is used anywhere.
+floating point is used anywhere.  ``_ints`` is the package's one entry
+check: every vector the class and cone layers take is a tuple of ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from numbers import Rational
+from math import comb
 from operator import attrgetter
 
 __all__ = [
@@ -72,28 +72,15 @@ class _Record:
         return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
 
 
-def _exact(values) -> tuple[int | Fraction, ...]:
-    """The values as a tuple: an int or a Fraction kept as given, any other
-    numbers.Rational converted by Fraction, and anything else (a float, a
-    Decimal, a str) a TypeError, so no inexact value enters a decision."""
-    return tuple(
-        c if type(c) is int or type(c) is Fraction else _rational(c)
-        for c in values
-    )
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """(ints, den): the values, checked by _exact, times den, the positive
-    lcm of their denominators, as a list of ints."""
-    values = _exact(values)
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _rational(c) -> Fraction:
-    if not isinstance(c, Rational):
-        raise TypeError(f"{c!r} is not rational (int or Fraction)")
-    return Fraction(c)
+def _ints(values) -> tuple[int, ...]:
+    """The values as a tuple of ints.  A value whose type is not int (a
+    Fraction, a bool, a float, a Decimal, a str) raises TypeError, so
+    every vector that enters a decision holds ints only."""
+    values = tuple(values)
+    for c in values:
+        if type(c) is not int:
+            raise TypeError(f"{c!r} is not an int")
+    return values
 
 
 def factorize(m: int) -> tuple[tuple[int, int], ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numtheory import _divisor_sums, _eisenstein_scale, _exact, _Record
+from .numtheory import _divisor_sums, _eisenstein_scale, _ints, _Record
 
 __all__ = [
     "MillerBasis",
@@ -70,13 +70,13 @@ class MillerBasis(_Record):
     """Echelon basis f_0 .. f_{d-1} of weight-k forms: f_i = q^i + O(q^d).
 
     ``rows`` holds the coefficient tuple of each f_i, each checked by
-    _exact, so a float or a str raises TypeError.
+    _ints, so anything but an int (a Fraction, a float) raises TypeError.
     """
 
     __slots__ = ("weight", "rows")
 
     def __init__(self, weight: int, rows) -> None:
-        super().__init__(weight, tuple(map(_exact, rows)))
+        super().__init__(weight, tuple(map(_ints, rows)))
 
     @property
     def dimension(self) -> int:

@@ -438,7 +438,7 @@ def moebius_primitive_class(m, k):
         mu = moebius(t)
         if mu:
             idx = m // (t * t)
-            acc[idx] = acc.get(idx, Fraction(0)) + mu
+            acc[idx] = acc.get(idx, 0) + mu
     return FunctionalCombo(k, tuple(acc.items()))
 
 
@@ -533,10 +533,13 @@ def monomial_miller_basis(k, precision):
     independent construction to compare qseries.miller_basis against.
 
     The rank is not checked against dim_mk, so a caller can compare the
-    two; empty spaces give a dimension-0 basis.
+    two; empty spaces give a dimension-0 basis.  Integral entries are
+    passed as ints; MillerBasis refuses any other.
     """
     rows = rref(monomial_span(k, precision))
-    return MillerBasis(k, rows)
+    return MillerBasis(k, [
+        [x.numerator if x.denominator == 1 else x for x in row] for row in rows
+    ])
 
 
 def jacobi_delta(precision):

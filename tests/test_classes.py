@@ -101,18 +101,25 @@ def test_integer_combinations_have_int_coordinates():
 
 
 def test_cone_generators_keep_exact_values():
-    (g,) = Cone(((3, Fraction(1, 2), Fraction(4, 2), -1),)).generators
-    assert [type(c) for c in g] == [int, Fraction, Fraction, int]
-    assert g == (3, Fraction(1, 2), 2, -1)
-    assert Cone(((Fraction(3), 1),)) == Cone(((3, 1),))
-    combo = FunctionalCombo(6, ((3, 2), (2, Fraction(4, 2))))
-    assert combo.terms == ((2, 2), (3, 2))
-    assert [type(a) for _, a in combo.terms] == [Fraction, int]
-    with pytest.raises(TypeError, match="0.5 is not rational"):
+    given = (3, 0, 10**12, -1)
+    (g,) = Cone((given,)).generators
+    assert g is given
+    # an integral Fraction is refused too: Fractions only leave the library
+    with pytest.raises(TypeError, match=r"Fraction\(3, 1\) is not an int"):
+        Cone(((Fraction(3), 1),))
+    combo = FunctionalCombo(6, ((3, 2), (2, 4), (1, 0)))
+    assert combo.terms == ((2, 4), (3, 2))
+    with pytest.raises(TypeError, match="0.5 is not an int"):
         FunctionalCombo(6, ((3, 2), (1, 0.5)))
+    # a coefficient is checked before zero terms are dropped
+    for zero in (0.0, False, Fraction(0)):
+        with pytest.raises(TypeError, match="is not an int"):
+            FunctionalCombo(6, ((1, zero),))
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, Decimal("0.5"), "1/3"])
+@pytest.mark.parametrize(
+    "bad", [0.5, 1.0, Decimal("0.5"), "1/3", Fraction(1, 2), Fraction(2), True]
+)
 @pytest.mark.parametrize("build", [
     lambda x: MillerBasis(6, ((1, x),)),
     lambda x: FunctionalCombo(6, ((1, x),)),
@@ -122,9 +129,9 @@ def test_cone_generators_keep_exact_values():
     lambda x: rank([(1, x)]),
 ], ids=["MillerBasis", "FunctionalCombo", "Cone", "Ray", "lp_feasible", "rank"])
 def test_records_reject_values_that_are_not_rational(build, bad):
-    # Fraction(0.1) is the binary float, not 1/10: no float may enter an
-    # exact decision through a record or a function that takes numbers
-    with pytest.raises(TypeError, match="is not rational"):
+    # the class and cone layers take ints only: a float would be inexact,
+    # and a Fraction or a bool is not an int either, even when integral
+    with pytest.raises(TypeError, match="is not an int"):
         build(bad)
 
 
@@ -171,7 +178,7 @@ def test_representation_consistency():
             combo = FunctionalCombo(
                 k,
                 tuple(
-                    (m, Fraction(rng.randint(-5, 5)))
+                    (m, rng.randint(-5, 5))
                     for m in rng.sample(range(basis.precision), 4)
                 ),
             )

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, SRC
-from cyclecones import classes, cli, cones, lattice, qseries
+from cyclecones import classes, cli, cones, lattice, numtheory, qseries
 from cyclecones.classes import eisenstein_identity_scan
 from cyclecones.cli import main
 from cyclecones.qseries import dim_mk, miller_basis
@@ -792,22 +792,36 @@ def test_lattice_reduce_reads_no_lattice(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("build",),
-    ("moment", "--vectors", "[[1]]"),
-    ("family", "--m", "1", "--jmax", "1"),
-], ids=lambda argv: argv[0])
+    ("lattice", "build", "--n", "1000002"),
+    ("lattice", "moment", "--vectors", "[[1]]", "--n", "1000002"),
+    ("lattice", "family", "--m", "1", "--jmax", "1", "--n", "1000002"),
+    ("identities", "--max-m", "3", "--n", "1006"),
+    ("converge", "--max-m", "3", "--n", "1000002"),
+    ("cone", "--max-m", "3", "--n", "1006"),
+    ("identities", "--max-m", "3", "--weight", "504"),
+    ("converge", "--max-m", "3", "--weight", "504"),
+    ("cone", "--max-m", "3", "--weight", "1000002"),
+], ids=lambda argv: argv[1] if argv[0] == "lattice"
+   else f"{argv[0]}-{argv[-2][2:]}")
 def test_lattice_n_above_the_ceiling_exits_2_before_any_work(
     capsys, monkeypatch, argv
 ):
-    # the Gram matrix of U+U+E8^j has (n+2)^2 entries, so a lattice this
-    # large would allocate without bound: building one fails the test
-    def build(n):
-        raise AssertionError(f"built a lattice at n={n}")
+    # every command takes --n up to 1002, so --weight up to 502: the Gram
+    # matrix of U+U+E8^j has (n+2)^2 entries, and a Miller basis or the
+    # Bernoulli numbers of a weight without bound would run for minutes.
+    # Building any of them fails the test
+    def guard(name):
+        def reached(*args):
+            raise AssertionError(f"{name} reached with {args}")
+        return reached
 
-    monkeypatch.setattr(lattice, "build_even_unimodular", build)
-    code, out, err = run(capsys, "lattice", argv[0], "--n", "1000002", *argv[1:])
-    assert (code, out, err) == (
-        2, "", "error: --n must be <= 1002, got 1000002\n"
+    monkeypatch.setattr(lattice, "build_even_unimodular", guard("lattice"))
+    monkeypatch.setattr(qseries, "miller_basis", guard("miller_basis"))
+    monkeypatch.setattr(numtheory, "bernoulli", guard("bernoulli"))
+    flag, value = argv[-2:]
+    limit = 1002 if flag == "--n" else 502
+    assert run(capsys, *argv) == (
+        2, "", f"error: {flag} must be <= {limit}, got {value}\n"
     )
 
 
@@ -816,6 +830,8 @@ def test_lattice_n_at_the_ceiling_runs(capsys):
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["rank"] == 1004 and doc["signature"] == [1002, 2]
+    # the other commands take the same ceiling, as --n or as its weight
+    assert cli._resolve_weight(1002, None) == cli._resolve_weight(None, 502)
     # a reduction builds no lattice, so its --n has no ceiling
     argv = ("lattice", "reduce", "--doubled", "[[4,3],[3,4]]")
     assert run(capsys, *argv, "--n", "1000002") == run(capsys, *argv)

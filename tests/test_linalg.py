@@ -10,13 +10,12 @@ from cyclecones.lattice import HalfIntegralMatrix, is_positive_definite
 from cyclecones.linalg import det, gram_signature, rank
 from oracles import fraction_det, fraction_gram_signature, rref
 
-ENTRIES = [0, 0, 0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-2, 3),
-           Fraction(5, 4), Fraction(6, 3)]
+ENTRIES = [0, 0, 0, 1, -1, 2, -3, 7, 4, -6, 12, 10**12]
 
 
 @st.composite
 def matrices(draw):
-    """Small int and Fraction matrices, often rank-deficient: zero rows,
+    """Small int matrices, often rank-deficient: zero rows,
     repeated rows, scaled rows and sums of rows are mixed in, and there
     may be more rows than columns."""
     ncols = draw(st.integers(1, 5))
@@ -29,15 +28,13 @@ def matrices(draw):
         else:
             a = draw(st.sampled_from(rows))
             b = draw(st.sampled_from(rows))
-            c = draw(st.sampled_from((-2, Fraction(1, 3), 5)))
+            c = draw(st.sampled_from((-2, 3, 5)))
             extra = {
                 "repeat": a,
                 "scale": [c * x for x in a],
                 "sum": [x + c * y for x, y in zip(a, b)],
             }[kind]
         rows.insert(draw(st.integers(0, len(rows))), list(extra))
-    if draw(st.booleans()):
-        rows = [[int(x) for x in r] for r in rows]
     return rows
 
 
@@ -50,16 +47,18 @@ def test_integer_rank_matches_rref(rows):
 def test_rank_examples():
     assert rank([]) == 0
     assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[1, 2], [2, 4], [Fraction(1, 2), 1]]) == 1
+    assert rank([[1, 2], [2, 4], [-3, -6]]) == 1
     assert rank([[1, 0], [0, 1], [1, 1], [5, 7]]) == 2
     assert rank([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == 3
     # full column rank stops the scan: the third row is never read
     assert rank(iter([[1, 0], [0, 1], None])) == 2
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, Decimal("0.5"), "1/3"])
+@pytest.mark.parametrize(
+    "bad", [0.5, 1.0, Decimal("0.5"), "1/3", Fraction(1, 2), Fraction(2), True]
+)
 def test_rank_takes_rational_entries_only(bad):
-    with pytest.raises(TypeError, match="is not rational"):
+    with pytest.raises(TypeError, match="is not an int"):
         rank([[1, 2], [3, bad]])
 
 
@@ -174,8 +173,10 @@ def test_det_against_sympy():
         assert det(rows) == int(sympy.Matrix(n, n, sum(rows, [])).det()), rows
 
 
-@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 1.0, 0.5])
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), Fraction(2), 1.0, 0.5, Decimal("0.5"), "1/3", True]
+)
 @pytest.mark.parametrize("fn", [det, gram_signature])
 def test_det_and_signature_take_int_entries_only(fn, bad):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="is not an int"):
         fn([[2, 1], [1, bad]])
