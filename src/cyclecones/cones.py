@@ -6,15 +6,16 @@ only).  A ray is stored as its primitive integer vector; its canonical
 representative, normalized so the largest absolute coordinate is 1, is
 built only for printing.  Cone questions (pointedness, membership,
 extremality) are decided by an exact simplex with Bland's rule on
-integer rows, in the one LP form {x >= 0 : A x = b}.  Every answer is
-checked in ints: a feasible one by its witness, an infeasible one by its
-Farkas certificate.  No floating point enters any decision.
+integer rows, in the one LP form {x >= 0 : A x = b}, which pivots by
+linalg's fraction-free rule.  Every answer is checked in ints: a
+feasible one by its witness, an infeasible one by its Farkas
+certificate.  No floating point enters any decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .classes import (
     coordinates,
@@ -178,33 +179,31 @@ def _phase1(A, b, n):
 
     Dense Phase-I simplex: one unit artificial column per row, minimize
     their sum, Bland's rule for both entering and leaving choices (no
-    cycling).  No Fraction is built: each tableau row is held in ints as
-    the rational tableau's row times a positive factor, its entry in its
-    basic column.  Pricing reads signs only, the ratio test
-    cross-multiplies, and a pivot on p = T[r][e] > 0 replaces every other
-    row by p*T_i - T_i[e]*T_r over its gcd (Edmonds 1967).  The canonical
-    tableau at a basis is unique, so the pivots and the witness are those
-    of the rational tableau.
+    cycling).  No Fraction is built: every tableau row and the
+    reduced-cost row are the rational tableau's rows times one positive
+    scale d, the absolute determinant of the current basis, first 1.
+    Pricing reads signs only, the ratio test cross-multiplies, and a pivot
+    on p = T_r[e] > 0 replaces every other row by (p*T_i - T_i[e]*T_r) / d,
+    an exact division, and then sets d = p (Edmonds 1967, Bareiss 1968).
+    So every basic column holds d in its row, and the witness is the rhs
+    column over d.
 
-    The reduced-cost row ends in its positive multiple mu of the cost
-    vector: it is mu*c - sum_i z_i*T_i over the starting rows T_i, so
-    red[n+i] = mu - z_i.  At an optimum with a positive artificial sum,
-    z with the start's sign flips is the certificate (Farkas 1902).
+    The reduced-cost row is d*c - sum_i z_i*T_i over the starting rows
+    T_i, so red[n+i] = d - z_i.  At an optimum with a positive artificial
+    sum, z with the start's sign flips is the certificate (Farkas 1902).
     """
     m = len(A)
     total = n + m
     signs = [-1 if x < 0 else 1 for x in b]
-    rows = []
-    for i, sign in enumerate(signs):
-        art = [0] * m
-        art[i] = 1
-        rows.append([sign * x for x in A[i]] + art + [sign * b[i]])
+    rows = [
+        [s * x for x in A[i]] + [int(t == i) for t in range(m)] + [s * b[i]]
+        for i, s in enumerate(signs)
+    ]
     basis = [n + i for i in range(m)]
-    # reduced costs of the artificial sum, then mu = 1
-    red = [0] * n + [1] * m + [0]
-    for row in rows:
-        red = [x - y for x, y in zip(red, row)]
-    red.append(1)
+    # reduced costs of the artificial sum, zero on the artificial columns
+    red = [-sum(row[j] for row in rows) for j in range(total + 1)]
+    red[n:total] = [0] * m
+    d = 1
 
     while True:
         enter = next((j for j in range(total) if red[j] < 0), None)
@@ -226,27 +225,18 @@ def _phase1(A, b, n):
         prow = rows[leave]
         p = prow[enter]
         for i in range(m):
-            f = rows[i][enter]
-            if i != leave and f != 0:
-                rows[i] = _primitive(
-                    [p * x - f * y for x, y in zip(rows[i], prow)]
-                )
+            if i != leave:
+                f = rows[i][enter]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(rows[i], prow)]
         f = red[enter]
-        red = _primitive(
-            [p * x - f * y for x, y in zip(red, prow)] + [p * red[-1]]
-        )
-        basis[leave] = enter
+        red = [(p * x - f * y) // d for x, y in zip(red, prow)]
+        basis[leave], d = enter, p
 
-    # red[total] is minus the artificial sum, times a positive factor
+    # red[total] is minus the artificial sum, times d
     if red[total] < 0:
-        mu = red[-1]
-        return False, [s * (mu - red[n + i]) for i, s in enumerate(signs)]
-    D = lcm(*(rows[i][j] for i, j in enumerate(basis) if j < n))
-    X = [0] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            X[j] = rows[i][total] * (D // rows[i][j])
-    return True, (X, D)
+        return False, [s * (d - red[n + i]) for i, s in enumerate(signs)]
+    value = {j: row[total] for j, row in zip(basis, rows)}
+    return True, ([value.get(j, 0) for j in range(n)], d)
 
 
 def lp_feasible(n_vars: int, eq):

@@ -1,14 +1,13 @@
 """Exact linear algebra in integers for small dense matrices.
 
-``rank`` and ``det`` share one fraction-free elimination (Edmonds 1967,
-Bareiss 1968), in which every entry is a minor of the input and every
-division is exact; ``gram_signature`` reduces by integer congruence.
-All three take int entries only, checked by numtheory._ints.
+``rank``, ``det``, ``gram_signature`` and the simplex in cones eliminate
+by one fraction-free rule (Edmonds 1967, Bareiss 1968): each update is
+divided by the previous pivot, so every entry is a minor, up to sign, and
+every division is exact.  Each function here takes int rows of one
+length, checked by numtheory._ints, before it eliminates.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .numtheory import _ints
 
@@ -17,8 +16,7 @@ __all__ = ["rank", "det", "gram_signature"]
 
 def _echelon(rows) -> list[tuple[int, list[int]]]:
     """(pivot column, row) for each integer row independent of the rows
-    before it, reduced against those kept so far; stops at full column
-    rank, so the remaining rows are never read.
+    before it, reduced against the rows kept; stops at full column rank.
 
     A row is reduced against kept row j, of pivot p_j in column c_j, as
     (p_j * row - row[c_j] * row_j) / p_{j-1}, with p_0 = 1.  Its entries
@@ -40,14 +38,22 @@ def _echelon(rows) -> list[tuple[int, list[int]]]:
     return kept
 
 
+def _int_rows(rows) -> list[list[int]]:
+    """The rows as lists of ints checked by _ints, all of one length."""
+    rows = [list(_ints(row)) for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows differ in length")
+    return rows
+
+
 def rank(rows) -> int:
     """Rank of an integer matrix."""
-    return len(_echelon(map(_ints, rows)))
+    return len(_echelon(_int_rows(rows)))
 
 
 def _square_ints(rows, what: str) -> list[list[int]]:
-    rows = [list(_ints(row)) for row in rows]
-    if any(len(row) != len(rows) for row in rows):
+    rows = _int_rows(rows)
+    if rows and len(rows[0]) != len(rows):
         raise ValueError(f"{what} needs a square matrix")
     return rows
 
@@ -67,14 +73,18 @@ def det(rows) -> int:
 def gram_signature(gram) -> tuple[int, int]:
     """(positive, negative) inertia of a symmetric integer matrix.
 
-    Integer congruence reduction: a nonzero pivot p splits off its sign,
-    and the rest becomes |p| times its Schur complement, of the same
-    inertia, divided by its gcd.  Zero eigenvalues count in neither entry.
+    Congruence reduction by the rule of _echelon: a nonzero pivot p splits
+    off its sign, and the rest becomes its Schur complement times
+    |p| / |p_prev|, of the same inertia.  A zero pivot is first swapped for
+    a later nonzero diagonal, raised by adding a row and its column, or
+    dropped with its zero row; none of these changes p_prev.  Zero
+    eigenvalues count in neither entry.
     """
     A = _square_ints(gram, "signature")
     if A != [list(col) for col in zip(*A)]:
         raise ValueError("signature needs a symmetric matrix")
     pos = neg = 0
+    prev = 1
     while A:
         if A[0][0] == 0:
             j = next((t for t in range(1, len(A)) if A[t][t]), None)
@@ -97,10 +107,8 @@ def gram_signature(gram) -> tuple[int, int]:
         else:
             neg, s = neg + 1, -1
         A = [
-            [s * (p * x - row[0] * y) for x, y in zip(row[1:], top)]
+            [s * (p * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
             for row in A[1:]
         ]
-        g = gcd(*(x for row in A for x in row))
-        if g > 1:
-            A = [[x // g for x in row] for row in A]
+        prev = abs(p)
     return pos, neg

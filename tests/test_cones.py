@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclecones import cones
@@ -30,6 +30,7 @@ from cyclecones.cones import (
     ray_distance,
     span_dimension,
 )
+from cyclecones.linalg import det
 from cyclecones.qseries import dim_mk, miller_basis
 from oracles import (
     brute_extremal,
@@ -272,6 +273,9 @@ def test_lp_feasible_trivial_cases():
     assert lp_feasible(1, [([1], 1)]) == (True, ([1], 1))
     assert lp_feasible(1, [([0], 1)]) == (False, [1])
     assert lp_feasible(1, [([1], 1), ([1], 2)]) == (False, [-1, 1])
+    # the second pivot divides the row of zero entering entry by d = 2,
+    # so the first pivot must have rescaled it too
+    assert lp_feasible(2, [([2, 0], 1), ([0, 1], 0)]) == (True, ([1, 0], 2))
     assert solve(1, ge=[([1], 1)]) == ([1], 1)
     assert witness(solve(1, ge=[([1], 1)])) == (1,)
     assert solve(1, ge=[([1], 1), ([-1], 0)]) is None
@@ -396,6 +400,7 @@ def standard_systems(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(standard_systems())
+@example((2, [([2, 0], 1), ([0, 1], 0)]))
 def test_lp_answer_is_a_checked_witness_or_certificate(system):
     n, rows = system
     answer = lp_feasible(n, rows)
@@ -407,6 +412,30 @@ def test_lp_answer_is_a_checked_witness_or_certificate(system):
     assert feasible == (expected is not None)
     if feasible:
         assert list(witness(sol)) == expected
+
+
+@st.composite
+def positive_solutions(draw):
+    """A square int matrix A, n <= 4, and a point x of positive ints."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    return A, draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_solutions())
+@example(([[2, 1], [1, 3]], [1, 1]))
+def test_witness_denominator_is_the_basis_determinant(system):
+    # A x = b with A invertible and every x_j > 0 ends with every
+    # structural column basic, so the one scale d of the tableau rows is
+    # |det A| and the witness X / d is x
+    A, x = system
+    assume(det(A) != 0)
+    rows = [(a, sum(c * v for c, v in zip(a, x))) for a in A]
+    D = abs(det(A))
+    assert lp_feasible(len(x), rows) == (True, ([D * v for v in x], D))
 
 
 @settings(max_examples=400, deadline=None)

@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclecones.lattice import HalfIntegralMatrix, is_positive_definite
@@ -50,8 +50,19 @@ def test_rank_examples():
     assert rank([[1, 2], [2, 4], [-3, -6]]) == 1
     assert rank([[1, 0], [0, 1], [1, 1], [5, 7]]) == 2
     assert rank([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == 3
-    # full column rank stops the scan: the third row is never read
-    assert rank(iter([[1, 0], [0, 1], None])) == 2
+    assert rank(iter([[1, 0], [0, 1], [1, 1]])) == 2
+
+
+@pytest.mark.parametrize("rows, error", [
+    # checked although full column rank is reached before it
+    ([[1, 0], [0, 1], [0.5, 1]], TypeError),
+    ([[1], [0, 1]], ValueError),
+    ([[1, 2], [2, 4, 7]], ValueError),
+    ([[0, 1], [1]], ValueError),
+])
+def test_rank_checks_every_row_before_eliminating(rows, error):
+    with pytest.raises(error):
+        rank(rows)
 
 
 @pytest.mark.parametrize(
@@ -136,6 +147,12 @@ def test_det_matches_fraction_oracle(rows):
 
 @settings(max_examples=400, deadline=None)
 @given(symmetric_matrices())
+# a zero pivot, then a division by the previous pivot's |-2|: a later
+# diagonal swapped in; a row and its column added; a zero row dropped
+# (and, with every diagonal left zero, a row added)
+@example([[0, 1, 0], [1, -2, 1], [0, 1, 3]])
+@example([[-2, 0, 0], [0, 0, 1], [0, 1, 0]])
+@example([[-2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 def test_gram_signature_matches_fraction_oracle(gram):
     assert gram_signature(gram) == fraction_gram_signature(gram)
 
@@ -158,6 +175,7 @@ def test_det_and_signature_examples():
     assert gram_signature([[0, 0], [0, 0]]) == (0, 0)
     assert gram_signature([[-2, 1], [1, -2]]) == (0, 2)
     assert gram_signature([[-1, 0], [0, 1]]) == (1, 1)
+    assert gram_signature([[0, 1, 0], [1, -2, 1], [0, 1, 3]]) == (2, 1)
     with pytest.raises(ValueError):
         det([[1, 2]])
     with pytest.raises(ValueError):
