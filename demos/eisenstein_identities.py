@@ -47,8 +47,9 @@ print()
 
 print("primitive classes as Moebius combinations:")
 for m in (4, 36):
-    combo = primitive_heegner_class(m, k)
-    terms = " ".join(f"{'+' if a > 0 else '-'} c_{i}" for i, a in combo.terms)
+    terms = " ".join(
+        f"{'+' if a > 0 else '-'} c_{i}" for i, a in primitive_heegner_class(m)
+    )
     print(f"  P_{m} = {terms}")
 print()
 

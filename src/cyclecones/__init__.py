@@ -11,7 +11,6 @@ are used.
 # each re-exported name, by the module that defines it
 _EXPORTS = {
     "classes": (
-        "FunctionalCombo",
         "coordinates",
         "eisenstein_identity_scan",
         "heegner_class",

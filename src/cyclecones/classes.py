@@ -4,8 +4,10 @@ A degree-2 class is identified with its preimage in the dual of the
 weight-k form space: the functional c_m extracts the m-th q-coefficient,
 the Heegner divisor class corresponds to c_m, the Kähler class to -c_0,
 and primitive Heegner classes arise by Möbius inversion over square
-divisors.  Coefficients are ints, so a class's coordinates, in the basis
-dual to a Miller basis, are a tuple of ints.
+divisors.  A class sum_m a_m c_m is the plain tuple of its terms
+(m, a_m), with int coefficients, and carries no weight: it meets a weight
+only in coordinates, which checks its terms against a Miller basis and
+returns its coordinates in the dual basis as a tuple of ints.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from .numtheory import (
     _divisor_sums,
     _eisenstein_scale,
     _ints,
-    _Record,
     _sigma,
     factorize,
     zeta_negative,
 )
 
 __all__ = [
-    "FunctionalCombo",
     "heegner_class",
     "omega_class",
     "primitive_heegner_class",
@@ -43,50 +43,24 @@ def weight_for_signature(n: int) -> int:
     return 1 + n // 2
 
 
-class FunctionalCombo(_Record):
-    """Finite combination sum_m a_m c_m of coefficient functionals.
-
-    Terms are stored sorted by index with zero coefficients dropped; the
-    coefficients are checked by _ints, so anything but an int (a
-    Fraction, a bool, a float) raises TypeError.
-    """
-
-    __slots__ = ("weight", "terms")
-
-    def __init__(
-        self, weight: int, terms: tuple[tuple[int, int], ...]
-    ) -> None:
-        terms = [(m, a) for m, a in terms]
-        _ints(a for _, a in terms)  # before zeros go, so 0.0 raises too
-        terms = sorted(t for t in terms if t[1])
-        indices = [m for m, _ in terms]
-        if any(m < 0 for m in indices):
-            raise ValueError("functional indices must be >= 0")
-        if len(set(indices)) != len(indices):
-            raise ValueError("duplicate functional indices")
-        super().__init__(weight, tuple(terms))
-
-    def max_index(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
-
-
-def heegner_class(m: int, k: int) -> FunctionalCombo:
+def heegner_class(m: int) -> tuple[tuple[int, int], ...]:
     """Class of the m-th Heegner divisor: the single functional c_m."""
     if m < 1:
         raise ValueError(f"Heegner index must be >= 1, got {m}")
-    return FunctionalCombo(k, ((m, 1),))
+    return ((m, 1),)
 
 
-def omega_class(k: int) -> FunctionalCombo:
+def omega_class() -> tuple[tuple[int, int], ...]:
     """Class of the Kähler form: -c_0."""
-    return FunctionalCombo(k, ((0, -1),))
+    return ((0, -1),)
 
 
-def primitive_heegner_class(m: int, k: int) -> FunctionalCombo:
-    """Primitive Heegner class P_m = sum over t^2 | m of mu(t) c_{m/t^2}."""
+def primitive_heegner_class(m: int) -> tuple[tuple[int, int], ...]:
+    """Primitive Heegner class P_m = sum over t^2 | m of mu(t) c_{m/t^2},
+    its terms sorted by index."""
     if m < 1:
         raise ValueError(f"Heegner index must be >= 1, got {m}")
-    return FunctionalCombo(k, tuple(_primitive_terms(m, factorize(m))))
+    return tuple(sorted(_primitive_terms(m, factorize(m))))
 
 
 def _primitive_terms(m: int, pairs) -> list[tuple[int, int]]:
@@ -103,21 +77,23 @@ def _primitive_terms(m: int, pairs) -> list[tuple[int, int]]:
     return terms
 
 
-def coordinates(combo: FunctionalCombo, basis) -> tuple[int, ...]:
-    """The coordinates of the combo in the basis dual to the Miller basis
-    (a qseries.MillerBasis): coordinate i is the combo applied to the i-th
-    Miller row, an int as the combo and the rows hold ints.
+def coordinates(terms, basis) -> tuple[int, ...]:
+    """The coordinates of the class sum_m a_m c_m, given as its terms
+    (m, a_m), in the basis dual to the Miller basis (a qseries.MillerBasis):
+    coordinate i is the class applied to the i-th Miller row.
+
+    Every index and coefficient is checked by _ints, so anything but an
+    int raises TypeError, and an index outside 0 .. precision - 1 raises
+    ValueError; repeated indices add up.
     """
-    if combo.weight != basis.weight:
-        raise ValueError(
-            f"combo weight {combo.weight} != basis weight {basis.weight}"
-        )
-    if combo.terms and basis.precision <= combo.max_index():
-        raise ValueError(
-            f"basis precision {basis.precision} too small for index "
-            f"{combo.max_index()}"
-        )
-    return tuple(sum(a * f[m] for m, a in combo.terms) for f in basis.rows)
+    terms = tuple(terms)
+    _ints(x for m, a in terms for x in (m, a))
+    for m, _ in terms:
+        if not 0 <= m < basis.precision:
+            raise ValueError(
+                f"index {m} is outside the basis precision {basis.precision}"
+            )
+    return tuple(sum(a * f[m] for m, a in terms) for f in basis.rows)
 
 
 def _identity_sides(m: int, s: int, pairs, coeffs):

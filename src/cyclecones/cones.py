@@ -122,7 +122,7 @@ def omega_ray(basis: MillerBasis) -> Ray:
     """Ray of the Kähler class: -e_0 in Miller-dual coordinates."""
     if basis.dimension < 1:
         raise ValueError(f"weight {basis.weight} has an empty form space")
-    return Ray(coordinates(omega_class(basis.weight), basis))
+    return Ray(coordinates(omega_class(), basis))
 
 
 def convergence_scan(
@@ -134,7 +134,7 @@ def convergence_scan(
     compared with the omega ray in the L-infinity ray metric.  The
     distances tend to 0 for k = 2 mod 4; for k = 0 mod 4 the Eisenstein
     sign flips and the limit ray is +e_0 instead, so distances approach 2
-    (a class's Ray(coordinates(combo, basis)) shows the limit attained).
+    (a class's Ray(coordinates(terms, basis)) shows the limit attained).
     """
     m_set = list(m_set)
     if any(m < 1 for m in m_set):
@@ -143,7 +143,7 @@ def convergence_scan(
     build = primitive_heegner_class if primitive else heegner_class
     out = []
     for m in m_set:
-        ray = Ray(coordinates(build(m, basis.weight), basis))
+        ray = Ray(coordinates(build(m), basis))
         out.append((m, ray_distance(ray, target)))
     return out
 
@@ -158,10 +158,9 @@ def accumulation_cone_model(basis: MillerBasis, truncation: int) -> Cone:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     if basis.dimension < 1:
         raise ValueError(f"weight {basis.weight} has an empty form space")
-    k = basis.weight
-    gens = [coordinates(omega_class(k), basis)]
+    gens = [coordinates(omega_class(), basis)]
     for m in range(1, truncation + 1):
-        gens.append(coordinates(primitive_heegner_class(m, k), basis))
+        gens.append(coordinates(primitive_heegner_class(m), basis))
     return Cone(tuple(gens))
 
 
@@ -249,6 +248,8 @@ def lp_feasible(n_vars: int, eq):
     <= 0 in every column and sum_i Y[i] * rhs_i > 0.  Either answer is
     verified in ints first; one that does not check raises ArithmeticError.
     """
+    if n_vars < 0:
+        raise ValueError(f"n_vars must be >= 0, got {n_vars}")
     rows = [_ints((*c, r)) for c, r in eq]
     for row in rows:
         if len(row) != n_vars + 1:
@@ -363,11 +364,10 @@ def extremal_rays(cone: Cone) -> set[Ray]:
 
 
 def span_dimension(cone: Cone) -> int:
-    """Rank of the generator matrix by exact fraction-free elimination."""
+    """Rank of the generator matrix by exact fraction-free elimination,
+    on the generators as the Cone checked them."""
     # imported here, as only cone reports need it, so that a converge
     # command does not compile linalg
-    from .linalg import rank
+    from .linalg import _echelon
 
-    if not cone.generators:
-        return 0
-    return rank(cone.generators)
+    return len(_echelon(cone.generators))

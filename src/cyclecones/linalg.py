@@ -21,7 +21,9 @@ def _echelon(rows) -> list[tuple[int, list[int]]]:
     A row is reduced against kept row j, of pivot p_j in column c_j, as
     (p_j * row - row[c_j] * row_j) / p_{j-1}, with p_0 = 1.  Its entries
     are then minors of the input, on the kept rows and itself and on the
-    pivot columns and one more, so the division is exact.
+    pivot columns and one more, so the division is exact.  It trusts its
+    caller to pass int rows of one length, as _int_rows and Cone check
+    them.
     """
     kept = []
     for row in rows:

@@ -38,11 +38,7 @@ import json
 import math
 from fractions import Fraction
 
-from cyclecones.classes import (
-    FunctionalCombo,
-    primitive_heegner_class,
-    weight_for_signature,
-)
+from cyclecones.classes import primitive_heegner_class, weight_for_signature
 from cyclecones.cones import Cone, extremal_rays
 from cyclecones.lattice import HalfIntegralMatrix
 from cyclecones.numtheory import zeta_negative
@@ -349,15 +345,14 @@ def fraction_ray_distance(u, v):
     return max(abs(a - b) for a, b in zip(cu, cv))
 
 
-def evaluate(combo, f):
-    """Apply the functional to a form: sum_m a_m f[m], f the tuple of the
-    form's q-coefficients; the reference for classes.coordinates, which
-    pairs the functional with a Miller basis."""
-    if combo.terms and len(f) <= combo.max_index():
-        raise ValueError(
-            f"precision {len(f)} too small for index {combo.max_index()}"
-        )
-    return sum(a * f[m] for m, a in combo.terms)
+def evaluate(terms, f):
+    """Apply the class with the terms (m, a_m) to a form: sum_m a_m f[m],
+    f the tuple of the form's q-coefficients; the reference for
+    classes.coordinates, which pairs the class with a Miller basis."""
+    for m, _ in terms:
+        if not 0 <= m < len(f):
+            raise ValueError(f"index {m} outside precision {len(f)}")
+    return sum(a * f[m] for m, a in terms)
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -417,18 +412,24 @@ def square_divisors(m):
     return [t for t in range(1, math.isqrt(m) + 1) if m % (t * t) == 0]
 
 
-def heegner_from_primitive(m, k):
+def _class_terms(acc):
+    """The class sum_i acc[i] c_i as its terms (i, acc[i]), sorted by
+    index, with the zero coefficients dropped."""
+    return tuple(sorted((i, a) for i, a in acc.items() if a))
+
+
+def heegner_from_primitive(m):
     """H_m rebuilt as the sum of classes.primitive_heegner_class(m/t^2)
     over the square divisors t of m, expanded into coefficient
     functionals; Moebius inversion makes it c_m alone."""
     acc = {}
     for t in square_divisors(m):
-        for i, a in primitive_heegner_class(m // (t * t), k).terms:
+        for i, a in primitive_heegner_class(m // (t * t)):
             acc[i] = acc.get(i, 0) + a
-    return FunctionalCombo(k, tuple(acc.items()))
+    return _class_terms(acc)
 
 
-def moebius_primitive_class(m, k):
+def moebius_primitive_class(m):
     """P_m = sum over t^2 | m of mu(t) c_{m/t^2}, built by enumerating the
     square divisors and calling moebius for each; the reference for
     classes.primitive_heegner_class, which reads the terms off one
@@ -439,7 +440,7 @@ def moebius_primitive_class(m, k):
         if mu:
             idx = m // (t * t)
             acc[idx] = acc.get(idx, 0) + mu
-    return FunctionalCombo(k, tuple(acc.items()))
+    return _class_terms(acc)
 
 
 def fraction_identity_scan(n, max_m):

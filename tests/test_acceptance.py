@@ -88,10 +88,9 @@ def test_criterion_2_primitive_class_evaluation():
 
 
 def test_criterion_3_moebius_round_trip():
-    k = 6
     for m in range(1, 1001):
         # H -> P -> H, fully expanded back to coefficient functionals
-        assert dict(heegner_from_primitive(m, k).terms) == {m: Fraction(1)}, m
+        assert heegner_from_primitive(m) == ((m, 1),), m
         # P -> H -> P, expanded formally in primitive symbols
         acc: dict[int, int] = {}
         for t in square_divisors(m):
@@ -115,7 +114,7 @@ def test_criterion_4_miller_pivot_property():
             for j in range(d):
                 assert f[j] == (1 if i == j else 0), (k, i, j)
         for m in range(1, d):
-            v = coordinates(heegner_class(m, k), basis)
+            v = coordinates(heegner_class(m), basis)
             assert v == tuple(
                 Fraction(1 if i == m else 0) for i in range(d)
             ), (k, m)

@@ -34,7 +34,7 @@ def test_all_lists_the_public_names(name):
 
 # the names the package re-exports, each loaded on first use
 REEXPORTED = {
-    "FunctionalCombo", "coordinates", "eisenstein_identity_scan",
+    "coordinates", "eisenstein_identity_scan",
     "heegner_class", "omega_class", "primitive_heegner_class",
     "weight_for_signature",
     "Cone", "NotPointedError", "Ray", "accumulation_cone_model",

@@ -7,7 +7,6 @@ import pytest
 
 from cyclecones import classes, qseries
 from cyclecones.classes import (
-    FunctionalCombo,
     coordinates,
     eisenstein_identity_scan,
     heegner_class,
@@ -29,43 +28,40 @@ from oracles import (
 
 
 def test_heegner_and_omega():
-    assert dict(heegner_class(5, 6).terms) == {5: Fraction(1)}
-    assert dict(heegner_class(1, 6).terms) == {1: Fraction(1)}
-    assert dict(omega_class(6).terms) == {0: Fraction(-1)}
+    assert heegner_class(5) == ((5, 1),)
+    assert heegner_class(1) == ((1, 1),)
+    assert omega_class() == ((0, -1),)
     with pytest.raises(ValueError):
-        heegner_class(0, 6)
+        heegner_class(0)
 
 
 def test_heegner_evaluation_on_e6():
     # two independent routes: q-expansion and 2 sigma / zeta closed form
-    value = evaluate(heegner_class(5, 6), eisenstein(6, 6))
+    value = evaluate(heegner_class(5), eisenstein(6, 6))
     assert value == -504 * sigma(5, 5) == -1575504
     assert value == 2 * sigma(5, 5) / zeta_negative(5)
 
 
 def test_primitive_class_examples():
     for m in (1, 2, 3, 5, 6, 30):  # squarefree: P_m = H_m
-        assert dict(primitive_heegner_class(m, 6).terms) == {m: Fraction(1)}
-    assert dict(primitive_heegner_class(4, 6).terms) == {
-        4: Fraction(1), 1: Fraction(-1)
-    }
-    assert dict(primitive_heegner_class(36, 6).terms) == {
-        36: Fraction(1), 9: Fraction(-1), 4: Fraction(-1), 1: Fraction(1)
-    }
+        assert primitive_heegner_class(m) == ((m, 1),)
+    # terms sorted by index
+    assert primitive_heegner_class(4) == ((1, -1), (4, 1))
+    assert primitive_heegner_class(36) == ((1, 1), (4, -1), (9, -1), (36, 1))
+    with pytest.raises(ValueError):
+        primitive_heegner_class(0)
 
 
 def test_heegner_from_primitive_cancellation():
-    assert dict(heegner_from_primitive(1, 6).terms) == {1: Fraction(1)}
-    assert dict(heegner_from_primitive(4, 6).terms) == {4: Fraction(1)}
+    assert heegner_from_primitive(1) == ((1, 1),)
+    assert heegner_from_primitive(4) == ((4, 1),)
     for p in (2, 3, 5, 7):
-        assert dict(heegner_from_primitive(p * p, 6).terms) == {
-            p * p: Fraction(1)
-        }
+        assert heegner_from_primitive(p * p) == ((p * p, 1),)
 
 
 def test_moebius_round_trip():
     for m in range(1, 1001):
-        assert dict(heegner_from_primitive(m, 6).terms) == {m: Fraction(1)}
+        assert heegner_from_primitive(m) == ((m, 1),)
 
 
 def test_coordinates_unit_vectors():
@@ -73,11 +69,11 @@ def test_coordinates_unit_vectors():
         d = dim_mk(k)
         basis = miller_basis(k, 2 * d + 2)
         for m in range(1, d):
-            v = coordinates(heegner_class(m, k), basis)
+            v = coordinates(heegner_class(m), basis)
             assert v == tuple(
                 Fraction(1 if i == m else 0) for i in range(d)
             )
-        omega = coordinates(omega_class(k), basis)
+        omega = coordinates(omega_class(), basis)
         assert omega == tuple(
             Fraction(-1 if i == 0 else 0) for i in range(d)
         )
@@ -87,17 +83,17 @@ def test_integer_combinations_have_int_coordinates():
     for k in (12, 18, 34, 66):
         d = dim_mk(k)
         basis = miller_basis(k, 40)
-        for combo in (
-            omega_class(k),
-            heegner_class(7, k),
-            primitive_heegner_class(36, k),
-            heegner_from_primitive(36, k),
+        for terms in (
+            omega_class(),
+            heegner_class(7),
+            primitive_heegner_class(36),
+            heegner_from_primitive(36),
         ):
-            assert all(type(a) is int for _, a in combo.terms)
-            coords = coordinates(combo, basis)
+            assert all(type(a) is int for _, a in terms)
+            coords = coordinates(terms, basis)
             assert len(coords) == d
             assert all(type(c) is int for c in coords)
-            assert coords == tuple(evaluate(combo, f) for f in basis.rows)
+            assert coords == tuple(evaluate(terms, f) for f in basis.rows)
 
 
 def test_cone_generators_keep_exact_values():
@@ -107,14 +103,18 @@ def test_cone_generators_keep_exact_values():
     # an integral Fraction is refused too: Fractions only leave the library
     with pytest.raises(TypeError, match=r"Fraction\(3, 1\) is not an int"):
         Cone(((Fraction(3), 1),))
-    combo = FunctionalCombo(6, ((3, 2), (2, 4), (1, 0)))
-    assert combo.terms == ((2, 4), (3, 2))
+    basis = miller_basis(6, 4)
     with pytest.raises(TypeError, match="0.5 is not an int"):
-        FunctionalCombo(6, ((3, 2), (1, 0.5)))
-    # a coefficient is checked before zero terms are dropped
+        coordinates(((3, 2), (1, 0.5)), basis)
+    # a zero coefficient is checked too, and so is every index
     for zero in (0.0, False, Fraction(0)):
         with pytest.raises(TypeError, match="is not an int"):
-            FunctionalCombo(6, ((1, zero),))
+            coordinates(((1, zero),), basis)
+        with pytest.raises(TypeError, match="is not an int"):
+            coordinates(((zero, 1),), basis)
+    for index in (True, 1.0):
+        with pytest.raises(TypeError, match="is not an int"):
+            coordinates(((index, 1),), basis)
 
 
 @pytest.mark.parametrize(
@@ -122,12 +122,12 @@ def test_cone_generators_keep_exact_values():
 )
 @pytest.mark.parametrize("build", [
     lambda x: MillerBasis(6, ((1, x),)),
-    lambda x: FunctionalCombo(6, ((1, x),)),
+    lambda x: coordinates(((1, x),), miller_basis(6, 4)),
     lambda x: Cone(((1, x),)),
     lambda x: Ray((1, x)),
     lambda x: lp_feasible(2, [((1, x), 1)]),
     lambda x: rank([(1, x)]),
-], ids=["MillerBasis", "FunctionalCombo", "Cone", "Ray", "lp_feasible", "rank"])
+], ids=["MillerBasis", "coordinates", "Cone", "Ray", "lp_feasible", "rank"])
 def test_records_reject_values_that_are_not_rational(build, bad):
     # the class and cone layers take ints only: a float would be inexact,
     # and a Fraction or a bool is not an int either, even when integral
@@ -137,32 +137,38 @@ def test_records_reject_values_that_are_not_rational(build, bad):
 
 def test_coordinates_at_weight_12():
     basis = miller_basis(12, 6)
-    v = coordinates(heegner_class(2, 12), basis)
+    v = coordinates(heegner_class(2), basis)
     assert v == (Fraction(196560), Fraction(-24))
+    # zero and repeated indices give the linear sum of the terms
+    assert coordinates(((2, 3), (0, 0), (2, -1), (5, 0)), basis) == tuple(
+        2 * c for c in v
+    )
+    assert coordinates((), basis) == (0, 0)
 
 
 def test_coordinates_precision_guard():
     basis = miller_basis(12, 6)
-    with pytest.raises(ValueError):
-        coordinates(heegner_class(6, 12), basis)
-
-
-def test_coordinates_weight_guard():
-    with pytest.raises(ValueError, match="combo weight 6 != basis weight 10"):
-        coordinates(heegner_class(1, 6), miller_basis(10, 4))
+    # precision 6 holds the indices 0 .. 5; a negative index would read
+    # a row from its end
+    for index in (6, -1, -6):
+        with pytest.raises(ValueError, match=f"index {index} is outside"):
+            coordinates(((1, 1), (index, 1)), basis)
+    assert coordinates(((5, 1), (0, 1)), basis) == tuple(
+        f[5] + f[0] for f in basis.rows
+    )
 
 
 def test_evaluate_examples():
     e10 = eisenstein(10, 4)
-    assert evaluate(omega_class(10), e10) == -1
-    assert evaluate(heegner_class(1, 6), eisenstein(6, 3)) == -504
-    assert evaluate(FunctionalCombo(6, ()), eisenstein(6, 3)) == 0
+    assert evaluate(omega_class(), e10) == -1
+    assert evaluate(heegner_class(1), eisenstein(6, 3)) == -504
+    assert evaluate((), eisenstein(6, 3)) == 0
     with pytest.raises(ValueError):
-        evaluate(heegner_class(9, 10), e10)
+        evaluate(heegner_class(9), e10)
 
 
 def test_representation_consistency():
-    # evaluating a combo on a form in the Miller span agrees with the
+    # evaluating a class on a form in the Miller span agrees with the
     # coordinate pairing against the form's Miller coordinates
     rng = random.Random(5)
     for k in (12, 18, 24):
@@ -175,16 +181,13 @@ def test_representation_consistency():
                 sum(x * g[i] for x, g in zip(xs, basis.rows))
                 for i in range(basis.precision)
             )
-            combo = FunctionalCombo(
-                k,
-                tuple(
-                    (m, rng.randint(-5, 5))
-                    for m in rng.sample(range(basis.precision), 4)
-                ),
+            terms = tuple(
+                (m, rng.randint(-5, 5))
+                for m in rng.sample(range(basis.precision), 4)
             )
-            direct = evaluate(combo, f)
+            direct = evaluate(terms, f)
             paired = sum(
-                c * x for c, x in zip(coordinates(combo, basis), xs)
+                c * x for c, x in zip(coordinates(terms, basis), xs)
             )
             assert direct == paired
 
@@ -215,15 +218,15 @@ def test_eisenstein_evaluation_signs():
     # weights 2 mod 4 put every generator strictly on one side
     for k in (6, 10, 14, 18):
         series = eisenstein(k, 52)
-        assert evaluate(omega_class(k), series) == -1
+        assert evaluate(omega_class(), series) == -1
         for m in range(1, 51):
-            assert evaluate(heegner_class(m, k), series) < 0
-            assert evaluate(primitive_heegner_class(m, k), series) < 0
+            assert evaluate(heegner_class(m), series) < 0
+            assert evaluate(primitive_heegner_class(m), series) < 0
 
 
 def test_primitive_class_matches_moebius_sum():
     for m in range(1, 5001):
-        assert primitive_heegner_class(m, 6) == moebius_primitive_class(m, 6), m
+        assert primitive_heegner_class(m) == moebius_primitive_class(m), m
 
 
 def _written(x):

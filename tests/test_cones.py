@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cyclecones import cones
+from cyclecones import cones, linalg
 from cyclecones.cli import main
 from cyclecones.classes import (
     coordinates,
@@ -283,6 +283,9 @@ def test_lp_feasible_trivial_cases():
     assert solve(1, eq=[([0], 1)]) is None
     with pytest.raises(ValueError):
         lp_feasible(2, [([1], 1)])
+    for eq in ([], [([], 1)]):
+        with pytest.raises(ValueError, match="n_vars must be >= 0"):
+            lp_feasible(-1, eq)
 
 
 def test_lp_witness_satisfies_system():
@@ -558,6 +561,20 @@ def test_span_dimension_examples():
     assert span_dimension(Cone(())) == 0
 
 
+def test_span_dimension_does_not_recheck_the_generators(monkeypatch):
+    # a Cone checked its generators with _ints when it was built
+    calls = []
+    real = linalg._ints
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(linalg, "_ints", counted)
+    assert span_dimension(cone_of((1, 0, 2), (2, 0, 4), (0, 1, 1))) == 2
+    assert calls == []
+
+
 def test_ray_and_cone_compare_their_one_field():
     r = Ray((4, -2))
     assert r.key == (2, -1)
@@ -723,7 +740,7 @@ def test_accumulation_cone_pointed_with_evaluation_witness():
 def test_class_ray_converges_to_positive_axis_at_weight_0_mod_4():
     # non-physical weights flip the Eisenstein sign: limit is +e_0
     basis = miller_basis(16, 130)
-    r = Ray(coordinates(primitive_heegner_class(128, 16), basis))
+    r = Ray(coordinates(primitive_heegner_class(128), basis))
     assert r.canonical[0] == 1
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclecones
-from cyclecones.classes import heegner_class
 from cyclecones.cones import Cone, Ray
 from cyclecones.lattice import (
     HalfIntegralMatrix,
@@ -182,7 +181,6 @@ def test_factorize_against_sympy(sympy):
 
 FROZEN = [
     MillerBasis(6, ((1, -504),)),
-    heegner_class(2, 6),
     Ray((1,)),
     Cone(((2,),)),
     build_even_unimodular(10),
