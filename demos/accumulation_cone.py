@@ -11,29 +11,24 @@ shadow of polyhedrality.
 
 from cyclecones import (
     accumulation_cone_model,
-    dim_mk,
-    extremal_rays,
-    is_pointed,
+    cone_report,
     miller_basis,
     pointedness_witness,
-    span_dimension,
     weight_for_signature,
 )
 
 for n in (10, 34, 66):
     k = weight_for_signature(n)
-    basis = miller_basis(k, 201)
-    cone = accumulation_cone_model(basis, 200)
-    half = accumulation_cone_model(basis, 100)
-    rays = extremal_rays(cone)
-    print(f"signature ({n}, 2), weight {k}: dim M_k = {dim_mk(k)}")
-    print(f"  generators: {len(cone.generators)} (omega + P_1..P_200)")
-    print(f"  span dimension: {span_dimension(cone)}")
-    print(f"  pointed: {is_pointed(cone)}")
-    print(f"  extremal rays: {len(rays)}, stable from M=100: {rays == extremal_rays(half)}")
-    for r in sorted(rays, key=lambda r: r.canonical):
+    report = cone_report(miller_basis(k, 201), 200)
+    rays = report["extremal_rays"]
+    print(f"signature ({n}, 2), weight {k}: dim M_k = {report['expected_dim']}")
+    print(f"  generators: {report['generator_count']} (omega + P_1..P_200)")
+    print(f"  span dimension: {report['dim']}")
+    print(f"  pointed: {report['pointed']}")
+    print(f"  extremal rays: {len(rays)}, stable from M=100: {report['extremal_stable']}")
+    for ray in rays:
         shown = ", ".join(str(c) if len(str(c)) < 14 else f"{float(c):.4g}"
-                          for c in r.canonical)
+                          for c in ray)
         print(f"    ({shown})")
     print()
 

@@ -23,10 +23,9 @@ _EXPORTS = {
         "NotPointedError",
         "Ray",
         "accumulation_cone_model",
+        "cone_report",
         "convergence_scan",
         "extremal_generators",
-        "extremal_rays",
-        "is_pointed",
         "lp_feasible",
         "omega_ray",
         "pointedness_witness",

@@ -120,12 +120,16 @@ def eisenstein_identity_scan(
     each m.  The arguments are checked, and the divisor sums and the two
     scales computed, before it returns; each row is made when asked for.
 
-    Each side is a scale times an int (see _identity_sides), F and G
-    computed by independent routes, so F a == G b is decided as
-    F.num a G.den == G.num b F.den, and F a is written p/q in lowest terms
-    by one gcd(a, F.den), as gcd(F.num, F.den) = 1.  Equal sides in lowest
-    terms are the same string, so an equal row's rhs is its lhs.  No
-    Fraction is built per m, and each m is factored once.
+    Each side is a scale times an int (see _identity_sides).  F and G
+    are one number, 2/zeta(1-k) = -2k/B_k, both from bernoulli(k), so a
+    wrong B_k passes the scan; test_bernoulli_against_akiyama_tanigawa,
+    test_bernoulli_against_sympy and
+    test_eisenstein_matches_brute_force_divisor_sums catch it.  F a == G b
+    is decided as F.num a G.den == G.num b F.den, and F a is written p/q
+    in lowest terms by one gcd(a, F.den), as gcd(F.num, F.den) = 1.
+    Equal sides in lowest terms are the same string, so an equal row's
+    rhs is its lhs.  No Fraction is built per m, and each m is factored
+    once.
     """
     k = weight_for_signature(n)
     if max_m < 0:

@@ -271,48 +271,18 @@ def cmd_converge(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    """Span dimension, pointedness, extremal rays, and a stabilization
-    comparison at max_m/2 versus max_m for the truncated cone model."""
+    """The library's cone report of the truncated cone model, with the
+    command's n, weight and physical flag, every Fraction as p/q."""
     import json
 
-    from .cones import (
-        NotPointedError,
-        Ray,
-        accumulation_cone_model,
-        extremal_generators,
-        span_dimension,
-    )
+    from .cones import cone_report
 
-    basis = _cached_basis(args)
-    cone = accumulation_cone_model(basis, args.max_m)
-    half_m = max(1, args.max_m // 2)
-    doc = {
-        "dim": span_dimension(cone),
-        "expected_dim": basis.dimension,
-        "generator_count": len(cone.generators),
-        "half_max_m": half_m,
-        "max_m": args.max_m,
-        "n": args.n,
-        "physical": args.physical,
-        "weight": args.weight,
-    }
-    try:
-        idx = extremal_generators(cone)
-    except NotPointedError:
-        doc["pointed"] = False
-    else:
-        doc["pointed"] = True
-        by_index = [(j, Ray(cone.generators[j])) for j in idx]
-        rays = {ray for _, ray in by_index}
-        doc["extremal_indices"] = idx
+    doc = cone_report(_cached_basis(args), args.max_m)
+    doc.update(n=args.n, physical=args.physical, weight=args.weight)
+    if doc["pointed"]:
         doc["extremal_rays"] = [
-            [_frac_str(c) for c in canonical]
-            for canonical in sorted(r.canonical for r in rays)
+            [_frac_str(c) for c in ray] for ray in doc["extremal_rays"]
         ]
-        # the half cone omega, P_1 .. P_half_m has the cone's extremal rays
-        # exactly when each of them has an index <= half_m in idx
-        half = {ray for j, ray in by_index if j <= half_m}
-        doc["extremal_stable"] = half == rays
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

@@ -34,11 +34,10 @@ __all__ = [
     "omega_ray",
     "convergence_scan",
     "accumulation_cone_model",
-    "is_pointed",
     "pointedness_witness",
     "extremal_generators",
-    "extremal_rays",
     "span_dimension",
+    "cone_report",
     "lp_feasible",
 ]
 
@@ -288,14 +287,9 @@ def _in_cone(v, gens) -> bool:
     return lp_feasible(len(gens), eq)[0]
 
 
-def is_pointed(cone: Cone) -> bool:
-    """Whether the cone contains no line, that is, whether
-    pointedness_witness finds a separating functional."""
-    return pointedness_witness(cone) is not None
-
-
 def pointedness_witness(cone: Cone):
-    """Rational y with <y, g> >= 1 for all generators, or None.
+    """Rational y with <y, g> >= 1 for all generators, or None.  A cone
+    with no generators is pointed, and its witness is the empty tuple ().
 
     Decided through the exact LP on the other side of Gordan's
     alternative, which has only dimension+1 rows: some nonnegative
@@ -333,7 +327,7 @@ def extremal_generators(cone: Cone) -> list[int]:
     cone of generators 0..p has the cone's extremal rays exactly when
     each of them has a listed index <= p.
     """
-    if not is_pointed(cone):
+    if pointedness_witness(cone) is None:
         raise NotPointedError(
             "extremal rays are only defined for pointed cones"
         )
@@ -357,12 +351,6 @@ def extremal_generators(cone: Cone) -> list[int]:
     return sorted(j for i in kept for j in members[i])
 
 
-def extremal_rays(cone: Cone) -> set[Ray]:
-    """Rays of the extremal generators."""
-    gens = cone.generators
-    return {Ray(gens[j]) for j in extremal_generators(cone)}
-
-
 def span_dimension(cone: Cone) -> int:
     """Rank of the generator matrix by exact fraction-free elimination,
     on the generators as the Cone checked them."""
@@ -371,3 +359,34 @@ def span_dimension(cone: Cone) -> int:
     from .linalg import _echelon
 
     return len(_echelon(cone.generators))
+
+
+def cone_report(basis: MillerBasis, truncation: int) -> dict:
+    """The cone command's report on accumulation_cone_model(basis,
+    truncation), keyed by its JSON names.  A pointed cone adds its
+    extremal indices, the sorted canonical tuples of its extremal rays,
+    and whether generators 0..half_max_m already have those rays."""
+    cone = accumulation_cone_model(basis, truncation)
+    half_m = max(1, truncation // 2)
+    report = {
+        "dim": span_dimension(cone),
+        "expected_dim": basis.dimension,
+        "generator_count": len(cone.generators),
+        "half_max_m": half_m,
+        "max_m": truncation,
+        "pointed": False,
+    }
+    try:
+        idx = extremal_generators(cone)
+    except NotPointedError:
+        return report
+    rays = {j: Ray(cone.generators[j]) for j in idx}
+    every = set(rays.values())
+    report.update(
+        pointed=True,
+        extremal_indices=idx,
+        extremal_rays=sorted(ray.canonical for ray in every),
+        # the half cone has a ray when some index <= half_m lies on it
+        extremal_stable={rays[j] for j in idx if j <= half_m} == every,
+    )
+    return report

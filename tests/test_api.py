@@ -38,7 +38,7 @@ REEXPORTED = {
     "heegner_class", "omega_class", "primitive_heegner_class",
     "weight_for_signature",
     "Cone", "NotPointedError", "Ray", "accumulation_cone_model",
-    "convergence_scan", "extremal_generators", "extremal_rays", "is_pointed",
+    "cone_report", "convergence_scan", "extremal_generators",
     "lp_feasible", "omega_ray", "pointedness_witness", "ray_distance",
     "span_dimension",
     "EvenLattice", "HalfIntegralMatrix", "build_even_unimodular",

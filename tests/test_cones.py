@@ -20,10 +20,9 @@ from cyclecones.cones import (
     NotPointedError,
     Ray,
     accumulation_cone_model,
+    cone_report,
     convergence_scan,
     extremal_generators,
-    extremal_rays,
-    is_pointed,
     lp_feasible,
     omega_ray,
     pointedness_witness,
@@ -36,11 +35,14 @@ from oracles import (
     brute_extremal,
     brute_member,
     brute_pointed,
+    extremal_ray_set,
     fraction_lp_feasible,
     fraction_phase1,
     fraction_ray_distance,
     from_standard,
+    is_pointed,
     standard_form,
+    two_sweep_stable,
 )
 
 small_ints = st.integers(min_value=-8, max_value=8)
@@ -542,6 +544,7 @@ def test_pointedness_witness_matches():
     for g in c.generators:
         assert sum(a * b for a, b in zip(y, g)) >= 1
     assert pointedness_witness(cone_of((1, 0), (-1, 0))) is None
+    assert pointedness_witness(Cone(())) == ()
 
 
 def test_extremal_examples():
@@ -693,10 +696,48 @@ def test_accumulation_cone_small():
 
     cone6 = accumulation_cone_model(miller_basis(6, 21), 20)
     assert span_dimension(cone6) == 1
-    assert extremal_rays(cone6) == {Ray((-1,))}
+    assert extremal_ray_set(cone6) == {Ray((-1,))}
     # weight 2 has no forms, so no coordinates
     with pytest.raises(ValueError, match="empty form space"):
         accumulation_cone_model(miller_basis(2, 21), 20)
+
+
+def test_cone_report_of_a_cone_with_a_line():
+    report = cone_report(miller_basis(4, 31), 30)
+    assert report == {
+        "dim": 1,
+        "expected_dim": 1,
+        "generator_count": 31,
+        "half_max_m": 15,
+        "max_m": 30,
+        "pointed": False,
+    }
+
+
+def test_cone_report_of_a_pointed_cone():
+    basis = miller_basis(34, 201)
+    report = cone_report(basis, 200)
+    cone = accumulation_cone_model(basis, 200)
+    assert report["dim"] == report["expected_dim"] == 3
+    assert report["generator_count"] == 201 and report["half_max_m"] == 100
+    assert report["pointed"] is True
+    assert report["extremal_indices"] == [1, 2, 3]
+    rays = report["extremal_rays"]
+    assert rays == sorted(r.canonical for r in extremal_ray_set(cone))
+    assert all(type(c) is Fraction for ray in rays for c in ray)
+    assert report["extremal_stable"] == two_sweep_stable(cone, 100)
+
+
+def test_cone_report_reads_the_cone_model_by_its_global_name(monkeypatch):
+    # a test may hand the report any cone through accumulation_cone_model
+    cone = cone_of((1, 1), (1, -1), (2, 2), (1, 0))
+    monkeypatch.setattr(cones, "accumulation_cone_model",
+                        lambda basis, m: cone)
+    report = cone_report(miller_basis(6, 3), 2)
+    assert report["generator_count"] == 4 and report["dim"] == 2
+    assert report["extremal_indices"] == [0, 1, 2]
+    assert report["extremal_stable"] is True
+    assert report["extremal_stable"] == two_sweep_stable(cone, 1)
 
 
 @pytest.mark.parametrize("k, max_m", [(6, 1), (18, 1), (18, 2), (18, 9), (34, 40)])
