@@ -8,8 +8,13 @@ Moebius-inverted combination over square divisors) evaluates to
 
     (2 m^{n/2} / zeta(-n/2)) * prod_{p | m} (1 + p^{-n/2}),
 
-which is never zero.  Everything below is exact rational arithmetic; the
-two sides of each identity are computed by independent routes.
+which is never zero.  Everything below is exact rational arithmetic.  In
+the coefficient identity the q-expansion side comes from the divisor-sum
+sieve and the closed form from the multiplicative formula, two independent
+routes.  The scales are not: F = -2k/B_k of E_k and G = 2/zeta(-n/2) of
+the closed forms are one number (n/2 = k - 1), both from bernoulli(k), so
+a wrong B_k would pass here and is caught by the tests that check
+Bernoulli numbers on their own.
 """
 
 from fractions import Fraction

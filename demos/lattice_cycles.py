@@ -21,8 +21,8 @@ from cyclecones import (
 from cyclecones.linalg import det, gram_signature
 
 lat = build_even_unimodular(10)
-print(f"lattice U+U+E8: rank {lat.rank}, det {det(lat.gram)}, "
-      f"signature {gram_signature(lat.gram)}")
+print(f"lattice U+U+E8: rank {lat.dimension}, det {det(lat.doubled)}, "
+      f"signature {gram_signature(lat.doubled)}")
 print()
 
 for m in (1, 7):

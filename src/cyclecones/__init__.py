@@ -33,7 +33,6 @@ _EXPORTS = {
         "span_dimension",
     ),
     "lattice": (
-        "EvenLattice",
         "HalfIntegralMatrix",
         "build_even_unimodular",
         "common_component_family",

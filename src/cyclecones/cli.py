@@ -318,7 +318,7 @@ def cmd_lattice(args) -> int:
 
     if args.subcommand == "reduce":  # a reduction reads no lattice
         rows = _parse_int_matrix(args.doubled, "--doubled")
-        t = HalfIntegralMatrix(tuple(tuple(r) for r in rows))
+        t = HalfIntegralMatrix(rows)
         reduced, u = gauss_reduce(t)
         doc = {
             "det": _frac_str(t.determinant()),
@@ -333,8 +333,8 @@ def cmd_lattice(args) -> int:
         raise UsageError(f"--n must be <= {_MAX_N}, got {args.n}")
     lattice = build_even_unimodular(args.n)
     if args.subcommand == "build":
-        doc = {"gram": lattice.gram, "rank": lattice.rank,
-               "signature": lattice.signature}
+        doc = {"gram": lattice.doubled, "rank": lattice.dimension,
+               "signature": (args.n, 2)}
         print(json.dumps(doc, sort_keys=True))
         return 0
     if args.subcommand == "moment":

@@ -1,10 +1,15 @@
 """Even unimodular lattices of signature (n, 2) and moment-matrix
 combinatorics of the tuples indexing special cycles.
 
-The lattice is presented as U + U + E8^j with a fixed basis order (the two
-hyperbolic planes first), so primitivity is the gcd of coordinates and the
-witness constructions below are reproducible bit for bit.  Binary moment
-matrices carry an exact Gauss reduction to a unique GL_2(Z) representative.
+A lattice is the half-integral form of its quadratic form, a
+``HalfIntegralMatrix`` whose doubled matrix is its Gram matrix: even
+lattices and the moment matrices T of vector tuples are one kind of
+object.  The lattice is presented as U + U + E8^j with a fixed basis
+order (the two hyperbolic planes first), so primitivity is the gcd of
+coordinates and the witness constructions below are reproducible bit for
+bit.  Every matrix and every vector taken is checked to hold ints.
+Binary moment matrices carry an exact Gauss reduction to a unique
+GL_2(Z) representative.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ from fractions import Fraction
 from math import gcd
 
 from .linalg import det, gram_signature, rank
-from .numtheory import _Record
+from .numtheory import _Record, _ints
 
 __all__ = [
     "E8_GRAM",
     "U_GRAM",
-    "EvenLattice",
     "HalfIntegralMatrix",
     "FamilyEntry",
     "build_even_unimodular",
@@ -48,24 +52,40 @@ E8_GRAM = tuple(
 U_GRAM = ((0, 1), (1, 0))
 
 
-class EvenLattice(_Record):
-    """Gram-matrix model of an even lattice with fixed basis."""
+class HalfIntegralMatrix(_Record):
+    """Symmetric half-integral d x d matrix, stored doubled (2T integral).
 
-    __slots__ = ("gram", "signature")
+    The diagonal of T is integral, i.e. the doubled matrix has even
+    diagonal; off-diagonal doubled entries may be odd.  An even lattice
+    is the form of its quadratic form q: its Gram matrix is the doubled
+    matrix.  Every entry must be an int; rows are stored as tuples.
+    """
 
-    def __init__(
-        self, gram: tuple[tuple[int, ...], ...], signature: tuple[int, int]
-    ) -> None:
-        HalfIntegralMatrix(gram)  # square, symmetric, even diagonal
-        super().__init__(gram, signature)
+    __slots__ = ("doubled",)
+
+    def __init__(self, doubled: tuple[tuple[int, ...], ...]) -> None:
+        m = tuple(_ints(row) for row in doubled)
+        d = len(m)
+        if any(len(row) != d for row in m):
+            raise ValueError("matrix must be square")
+        if any(m[i][j] != m[j][i] for i in range(d) for j in range(i)):
+            raise ValueError("matrix must be symmetric")
+        if any(m[i][i] % 2 for i in range(d)):
+            raise ValueError("diagonal of T must be integral (doubled even)")
+        super().__init__(m)
 
     @property
-    def rank(self) -> int:
-        return len(self.gram)
+    def dimension(self) -> int:
+        return len(self.doubled)
+
+    def determinant(self) -> Fraction:
+        """det T = det 2T / 2^d."""
+        return Fraction(det(self.doubled), 2 ** self.dimension)
 
 
-def build_even_unimodular(n: int) -> EvenLattice:
-    """U + U + E8^((n-2)/8) of signature (n, 2); needs n = 2 mod 8, n >= 10."""
+def build_even_unimodular(n: int) -> HalfIntegralMatrix:
+    """The form of U + U + E8^((n-2)/8), of signature (n, 2); needs
+    n = 2 mod 8, n >= 10."""
     if n % 8 != 2 or n < 10:
         raise ValueError(
             f"no even unimodular lattice of signature ({n}, 2): need "
@@ -80,53 +100,25 @@ def build_even_unimodular(n: int) -> EvenLattice:
             for j, x in enumerate(row):
                 gram[offset + i][offset + j] = x
         offset += len(b)
-    return EvenLattice(tuple(tuple(r) for r in gram), (n, 2))
+    return HalfIntegralMatrix(gram)
 
 
-def inner(lattice: EvenLattice, lam, mu) -> int:
+def inner(lattice: HalfIntegralMatrix, lam, mu) -> int:
     """Bilinear form value (lam, mu) in the fixed basis."""
-    g = lattice.gram
-    n = lattice.rank
+    g = lattice.doubled
+    n = lattice.dimension
+    lam, mu = _ints(lam), _ints(mu)
     if len(lam) != n or len(mu) != n:
         raise ValueError(f"vectors must have rank {n}")
     return sum(lam[i] * g[i][j] * mu[j] for i in range(n) for j in range(n))
 
 
-def norm_q(lattice: EvenLattice, lam) -> int:
+def norm_q(lattice: HalfIntegralMatrix, lam) -> int:
     """Quadratic form q(lam) = (lam, lam)/2, an integer by evenness."""
     return inner(lattice, lam, lam) // 2
 
 
-class HalfIntegralMatrix(_Record):
-    """Symmetric half-integral d x d matrix, stored doubled (2T integral).
-
-    The diagonal of T is integral, i.e. the doubled matrix has even
-    diagonal; off-diagonal doubled entries may be odd.
-    """
-
-    __slots__ = ("doubled",)
-
-    def __init__(self, doubled: tuple[tuple[int, ...], ...]) -> None:
-        m = doubled
-        d = len(m)
-        if any(len(row) != d for row in m):
-            raise ValueError("matrix must be square")
-        if any(m[i][j] != m[j][i] for i in range(d) for j in range(i)):
-            raise ValueError("matrix must be symmetric")
-        if any(m[i][i] % 2 for i in range(d)):
-            raise ValueError("diagonal of T must be integral (doubled even)")
-        super().__init__(doubled)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.doubled)
-
-    def determinant(self) -> Fraction:
-        """det T = det 2T / 2^d."""
-        return Fraction(det(self.doubled), 2 ** self.dimension)
-
-
-def moment_matrix(lattice: EvenLattice, vectors) -> HalfIntegralMatrix:
+def moment_matrix(lattice: HalfIntegralMatrix, vectors) -> HalfIntegralMatrix:
     """Moment matrix of a tuple: T with 2T[i][j] = (lam_i, lam_j)."""
     vectors = [tuple(v) for v in vectors]
     if not vectors:
@@ -139,26 +131,26 @@ def moment_matrix(lattice: EvenLattice, vectors) -> HalfIntegralMatrix:
 
 def is_primitive(lam) -> bool:
     """A nonzero vector is primitive when its coordinate gcd is 1."""
-    g = gcd(*lam)
+    g = gcd(*_ints(lam))
     if g == 0:
         raise ValueError("the zero vector is neither primitive nor imprimitive")
     return g == 1
 
 
-def vector_of_norm(lattice: EvenLattice, m: int) -> tuple[int, ...]:
+def vector_of_norm(lattice: HalfIntegralMatrix, m: int) -> tuple[int, ...]:
     """Primitive witness vector of norm q = m: e + m f in the first
     hyperbolic plane."""
     if m < 1:
         raise ValueError(f"norm must be >= 1, got {m}")
-    v = (1, m) + (0,) * (lattice.rank - 2)
+    v = (1, m) + (0,) * (lattice.dimension - 2)
     if not is_primitive(v):
         raise AssertionError("witness construction must be primitive")
     return v
 
 
-def _second_block_vector(lattice: EvenLattice, m: int) -> tuple[int, ...]:
+def _second_block_vector(lattice: HalfIntegralMatrix, m: int) -> tuple[int, ...]:
     # e + m f in the second hyperbolic plane; orthogonal to the first block
-    return (0, 0, 1, m) + (0,) * (lattice.rank - 4)
+    return (0, 0, 1, m) + (0,) * (lattice.dimension - 4)
 
 
 def is_positive_definite(t: HalfIntegralMatrix) -> bool:
@@ -206,23 +198,10 @@ def gauss_reduce(
     reduced = HalfIntegralMatrix(((2 * a, b), (b, 2 * c)))
     if u[0][0] * u[1][1] - u[0][1] * u[1][0] not in (1, -1):
         raise ArithmeticError(f"reduction matrix {u} is not unimodular")
-    if _congruent(t, u) != reduced.doubled:
+    # u^t T u is the moment matrix, in the form T, of the columns of u
+    if moment_matrix(t, zip(*u)) != reduced:
         raise ArithmeticError(f"u^t T u does not give the reduced form for {u}")
     return reduced, u
-
-
-def _congruent(t: HalfIntegralMatrix, u) -> tuple[tuple[int, ...], ...]:
-    """Doubled entries of u^t T u."""
-    d = t.dimension
-    m = t.doubled
-    ut_m = [
-        [sum(u[k][i] * m[k][j] for k in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
-    return tuple(
-        tuple(sum(ut_m[i][k] * u[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
 
 
 class FamilyEntry(_Record):
@@ -234,7 +213,7 @@ class FamilyEntry(_Record):
 
 
 def common_component_family(
-    lattice: EvenLattice, m: int, j_max: int
+    lattice: HalfIntegralMatrix, m: int, j_max: int
 ) -> list[FamilyEntry]:
     """Tuples (j lam1, lam2) sharing one orthogonal complement.
 

@@ -4,7 +4,8 @@ integers, factorization by trial division, divisor sums, and the scale
 
 Everything returns exact values (``int`` or ``fractions.Fraction``); no
 floating point is used anywhere.  ``_ints`` is the package's one entry
-check: every vector the class and cone layers take is a tuple of ints.
+check: every vector the class, cone, lattice and linear-algebra layers
+take is a tuple of ints.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ def test_criterion_7_lattice_suite():
     for _ in range(1000):
         d = rng.choice([1, 2, 3])
         tup = [
-            tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+            tuple(rng.randint(-3, 3) for _ in range(lat.dimension))
             for _ in range(d)
         ]
         t = moment_matrix(lat, tup)

@@ -41,7 +41,7 @@ REEXPORTED = {
     "cone_report", "convergence_scan", "extremal_generators",
     "lp_feasible", "omega_ray", "pointedness_witness", "ray_distance",
     "span_dimension",
-    "EvenLattice", "HalfIntegralMatrix", "build_even_unimodular",
+    "HalfIntegralMatrix", "build_even_unimodular",
     "common_component_family", "gauss_reduce", "inner",
     "is_positive_definite", "is_primitive", "moment_matrix", "norm_q",
     "vector_of_norm",

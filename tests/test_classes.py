@@ -15,6 +15,14 @@ from cyclecones.classes import (
     weight_for_signature,
 )
 from cyclecones.cones import Cone, Ray, lp_feasible
+from cyclecones.lattice import (
+    HalfIntegralMatrix,
+    build_even_unimodular,
+    inner,
+    is_primitive,
+    moment_matrix,
+    norm_q,
+)
 from cyclecones.linalg import rank
 from cyclecones.numtheory import zeta_negative
 from cyclecones.qseries import MillerBasis, dim_mk, eisenstein, miller_basis
@@ -117,6 +125,9 @@ def test_cone_generators_keep_exact_values():
             coordinates(((index, 1),), basis)
 
 
+Z = (0,) * 10  # pads a vector of the first hyperbolic plane to rank 12
+
+
 @pytest.mark.parametrize(
     "bad", [0.5, 1.0, Decimal("0.5"), "1/3", Fraction(1, 2), Fraction(2), True]
 )
@@ -127,10 +138,18 @@ def test_cone_generators_keep_exact_values():
     lambda x: Ray((1, x)),
     lambda x: lp_feasible(2, [((1, x), 1)]),
     lambda x: rank([(1, x)]),
-], ids=["MillerBasis", "coordinates", "Cone", "Ray", "lp_feasible", "rank"])
+    lambda x: HalfIntegralMatrix(((2, x), (x, 2))),
+    lambda x: inner(build_even_unimodular(10), (1, x) + Z, (1, 1) + Z),
+    lambda x: norm_q(build_even_unimodular(10), (x, 1) + Z),
+    lambda x: moment_matrix(build_even_unimodular(10), [(1, x) + Z]),
+    lambda x: is_primitive((1, x)),
+], ids=["MillerBasis", "coordinates", "Cone", "Ray", "lp_feasible", "rank",
+        "HalfIntegralMatrix", "inner", "norm_q", "moment_matrix",
+        "is_primitive"])
 def test_records_reject_values_that_are_not_rational(build, bad):
-    # the class and cone layers take ints only: a float would be inexact,
-    # and a Fraction or a bool is not an int either, even when integral
+    # the class, cone and lattice layers take ints only: a float would be
+    # inexact, and a Fraction or a bool is not an int either, even when
+    # integral
     with pytest.raises(TypeError, match="is not an int"):
         build(bad)
 

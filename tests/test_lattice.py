@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from cyclecones import lattice
 from cyclecones.lattice import (
     E8_GRAM,
-    EvenLattice,
     HalfIntegralMatrix,
     build_even_unimodular,
     common_component_family,
@@ -28,25 +28,18 @@ def test_e8_block():
 
 def test_build_examples():
     lat = build_even_unimodular(10)
-    assert lat.rank == 12
-    assert det(lat.gram) == 1
-    assert gram_signature(lat.gram) == (10, 2)
+    assert lat.dimension == 12
+    assert det(lat.doubled) == 1
+    assert gram_signature(lat.doubled) == (10, 2)
 
     lat18 = build_even_unimodular(18)
-    assert lat18.rank == 20
-    assert det(lat18.gram) == 1
-    assert gram_signature(lat18.gram) == (18, 2)
+    assert lat18.dimension == 20
+    assert det(lat18.doubled) == 1
+    assert gram_signature(lat18.doubled) == (18, 2)
 
     for bad in (11, 12, 16, 2, 9):
         with pytest.raises(ValueError):
             build_even_unimodular(bad)
-
-
-def test_even_lattice_validation():
-    with pytest.raises(ValueError):
-        EvenLattice(((1,),), (1, 0))  # odd diagonal
-    with pytest.raises(ValueError):
-        EvenLattice(((0, 1), (2, 0)), (1, 1))  # asymmetric
 
 
 def test_inner_and_norm():
@@ -90,7 +83,7 @@ def test_moment_matrices_are_half_integral_random():
     for _ in range(1000):
         d = rng.choice([1, 2, 3])
         tup = [
-            tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+            tuple(rng.randint(-3, 3) for _ in range(lat.dimension))
             for _ in range(d)
         ]
         t = moment_matrix(lat, tup)
@@ -104,7 +97,7 @@ def test_moment_matrices_are_half_integral_random():
 def test_norms_invariant_under_unimodular_basis_change():
     lat = build_even_unimodular(10)
     rng = random.Random(9)
-    n = lat.rank
+    n = lat.dimension
     for _ in range(25):
         u = rand_gln(rng, n)
         # new gram = u G u^t; coordinates transform contravariantly: if
@@ -112,13 +105,13 @@ def test_norms_invariant_under_unimodular_basis_change():
         # basis directly and compare with their image u^t-side in the old
         new_gram = tuple(
             tuple(
-                sum(u[i][a] * lat.gram[a][b] * u[j][b]
+                sum(u[i][a] * lat.doubled[a][b] * u[j][b]
                     for a in range(n) for b in range(n))
                 for j in range(n)
             )
             for i in range(n)
         )
-        new_lat = EvenLattice(new_gram, lat.signature)
+        new_lat = HalfIntegralMatrix(new_gram)
         lam = tuple(rng.randint(-2, 2) for _ in range(n))
         mu = tuple(rng.randint(-2, 2) for _ in range(n))
         old_lam = tuple(
@@ -150,6 +143,8 @@ def test_half_integral_validation():
         HalfIntegralMatrix(((1,),))  # odd diagonal = non-integral T diagonal
     with pytest.raises(ValueError):
         HalfIntegralMatrix(((2, 1), (0, 2)))
+    with pytest.raises(ValueError):
+        HalfIntegralMatrix(((0, 1), (2, 0)))  # asymmetric
     t = HalfIntegralMatrix(((2, 1), (1, 2)))  # T = [[1, 1/2], [1/2, 1]]
     assert t.doubled == ((2, 1), (1, 2))
     assert t.determinant() == Fraction(3, 4)
@@ -177,6 +172,22 @@ def test_gauss_reduce_examples():
         gauss_reduce(HalfIntegralMatrix(((2, 2), (2, 2))))
     with pytest.raises(ValueError):
         gauss_reduce(HalfIntegralMatrix(((2,),)))
+
+
+def test_gauss_reduce_rejects_a_wrong_congruence(monkeypatch):
+    # u^t T u is checked against the reduced form: a congruence that
+    # returns the unreduced T is refused, as a wrong u would be
+    monkeypatch.setattr(lattice, "moment_matrix", lambda form, vectors: form)
+    with pytest.raises(ArithmeticError, match="reduced form"):
+        gauss_reduce(HalfIntegralMatrix(((4, 3), (3, 4))))
+
+
+def test_gauss_reduce_rejects_a_wrong_congruence_with_asserts_stripped(
+    run_optimized,
+):
+    test = f"{__file__}::test_gauss_reduce_rejects_a_wrong_congruence"
+    proc = run_optimized("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_gauss_reduce_random():
@@ -211,8 +222,8 @@ def test_moment_transforms_like_the_paperside_action():
     lat = build_even_unimodular(10)
     rng = random.Random(29)
     for _ in range(60):
-        v1 = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
-        v2 = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+        v1 = tuple(rng.randint(-2, 2) for _ in range(lat.dimension))
+        v2 = tuple(rng.randint(-2, 2) for _ in range(lat.dimension))
         t = moment_matrix(lat, [v1, v2])
         u = rand_gl2(rng)
         # row action (u . tuple)_i = sum_j u[i][j] tuple_j gives u T u^t
@@ -248,7 +259,7 @@ def test_json_serialization(capsys):
         lat = build_even_unimodular(n)
         assert main(["lattice", "build", "--n", str(n)]) == 0
         out = capsys.readouterr().out
-        doc = {"gram": lat.gram, "rank": lat.rank, "signature": lat.signature}
+        doc = {"gram": lat.doubled, "rank": lat.dimension, "signature": (n, 2)}
         assert out == json.dumps(doc, sort_keys=True) + "\n"
         doc = json.loads(out)
         assert doc["rank"] == n + 2 and doc["signature"] == [n, 2]

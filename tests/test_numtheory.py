@@ -183,7 +183,6 @@ FROZEN = [
     MillerBasis(6, ((1, -504),)),
     Ray((1,)),
     Cone(((2,),)),
-    build_even_unimodular(10),
     HalfIntegralMatrix(((2, 1), (1, 2))),
     common_component_family(build_even_unimodular(10), 3, 2)[0],
 ]
