@@ -11,10 +11,11 @@ Moebius-inverted combination over square divisors) evaluates to
 which is never zero.  Everything below is exact rational arithmetic.  In
 the coefficient identity the q-expansion side comes from the divisor-sum
 sieve and the closed form from the multiplicative formula, two independent
-routes.  The scales are not: F = -2k/B_k of E_k and G = 2/zeta(-n/2) of
-the closed forms are one number (n/2 = k - 1), both from bernoulli(k), so
-a wrong B_k would pass here and is caught by the tests that check
-Bernoulli numbers on their own.
+routes.  The scale is not: F = -2k/B_k of E_k is 2/zeta(-n/2) of the
+closed forms (n/2 = k - 1), so the scan writes both sides on the one
+scale F from bernoulli(k) and compares their integers.  A wrong B_k would
+pass here and is caught by the tests that check Bernoulli numbers on
+their own.
 """
 
 from fractions import Fraction

@@ -21,7 +21,6 @@ from .numtheory import (
     _ints,
     _sigma,
     factorize,
-    zeta_negative,
 )
 
 __all__ = [
@@ -101,8 +100,9 @@ def _identity_sides(m: int, s: int, pairs, coeffs):
     primitive check at m, m factored as pairs and s = n/2, before scaling:
     coeffs[m] against sigma_s(m), and sum_{t^2 | m} mu(t) coeffs[m/t^2]
     against the integer prod_{p^e || m} p^(s(e-1)) (p^s + 1), which is
-    m^s prod_{p | m} (1 + p^-s).  For coeffs[i] = sigma_{k-1}(i) the
-    scales are F = -2k/B_k (E_k's) and G = 2/zeta(-s) (the closed forms').
+    m^s prod_{p | m} (1 + p^-s).  For coeffs[i] = sigma_{k-1}(i) both
+    sides take one scale: F = -2k/B_k, E_k's, is 2/zeta(-s), the closed
+    forms', as s = k - 1.
     """
     euler = 1
     for p, e in pairs:
@@ -117,38 +117,35 @@ def eisenstein_identity_scan(
 ) -> Iterator[tuple[str, int, str, str, bool]]:
     """Both Eisenstein identity checks for 1 <= m <= max_m as an iterator
     over rows (check, m, lhs, rhs, equal), coefficient before primitive at
-    each m.  The arguments are checked, and the divisor sums and the two
-    scales computed, before it returns; each row is made when asked for.
+    each m.  The arguments are checked, and the divisor sums and the
+    scale computed, before it returns; each row is made when asked for.
 
-    Each side is a scale times an int (see _identity_sides).  F and G
-    are one number, 2/zeta(1-k) = -2k/B_k, both from bernoulli(k), so a
-    wrong B_k passes the scan; test_bernoulli_against_akiyama_tanigawa,
-    test_bernoulli_against_sympy and
-    test_eisenstein_matches_brute_force_divisor_sums catch it.  F a == G b
-    is decided as F.num a G.den == G.num b F.den, and F a is written p/q
-    in lowest terms by one gcd(a, F.den), as gcd(F.num, F.den) = 1.
-    Equal sides in lowest terms are the same string, so an equal row's
-    rhs is its lhs.  No Fraction is built per m, and each m is factored
-    once.
+    Each side is one scale F = -2k/B_k = 2/zeta(1-k) times an int (see
+    _identity_sides), so F a == F b is decided as a == b.  F comes from
+    bernoulli(k), so a wrong B_k passes the scan;
+    test_bernoulli_against_akiyama_tanigawa, test_bernoulli_against_sympy
+    and test_eisenstein_matches_brute_force_divisor_sums catch it.  F a is
+    written p/q in lowest terms by one gcd(a, F.den), as gcd(F.num, F.den)
+    = 1, and F b likewise.  Equal sides in lowest terms are the same
+    string, so an equal row's rhs is its lhs.  No Fraction is built per m,
+    and each m is factored once.
     """
     k = weight_for_signature(n)
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
     sums = _divisor_sums(k - 1, max_m + 1)
-    scale_f, scale_g = _eisenstein_scale(k), 2 / zeta_negative(n // 2)
-    return _identity_rows(n // 2, max_m, sums, scale_f, scale_g)
+    return _identity_rows(n // 2, max_m, sums, _eisenstein_scale(k))
 
 
-def _identity_rows(s, max_m, sums, scale_f, scale_g):
-    fn, fd = scale_f.numerator, scale_f.denominator
-    gn, gd = scale_g.numerator, scale_g.denominator
+def _identity_rows(s, max_m, sums, scale):
+    num, den = scale.numerator, scale.denominator
     for m in range(1, max_m + 1):
         sides = _identity_sides(m, s, factorize(m), sums)
         for check, (a, b) in zip(("coefficient", "primitive"), sides):
-            ga = gcd(a, fd)
-            lhs = f"{fn * a // ga}/{fd // ga}"
-            if fn * a * gd == gn * b * fd:
+            ga = gcd(a, den)
+            lhs = f"{num * a // ga}/{den // ga}"
+            if a == b:
                 yield check, m, lhs, lhs, True
             else:
-                gb = gcd(b, gd)
-                yield check, m, lhs, f"{gn * b // gb}/{gd // gb}", False
+                gb = gcd(b, den)
+                yield check, m, lhs, f"{num * b // gb}/{den // gb}", False

@@ -25,10 +25,6 @@ from pathlib import Path
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 # the largest --n of every command, so weight 502: the Gram matrix of
 # U+U+E8^j has (n+2)^2 entries, about a million at n = 1002
 _MAX_N = 1002
@@ -38,19 +34,19 @@ def _resolve_weight(n, weight) -> tuple[int, int, bool]:
     """Exactly one of n (signature) or weight may be given; k = 1 + n/2,
     and n is at most _MAX_N."""
     if (n is None) == (weight is None):
-        raise UsageError("give exactly one of --n or --weight")
+        raise ValueError("give exactly one of --n or --weight")
     if n is not None:
         if n > _MAX_N:
-            raise UsageError(f"--n must be <= {_MAX_N}, got {n}")
+            raise ValueError(f"--n must be <= {_MAX_N}, got {n}")
         from .classes import weight_for_signature
 
         k = weight_for_signature(n)
     else:
         k = weight
         if k % 2 or k < 4:
-            raise UsageError(f"--weight must be even and >= 4, got {k}")
+            raise ValueError(f"--weight must be even and >= 4, got {k}")
         if k > 1 + _MAX_N // 2:
-            raise UsageError(f"--weight must be <= {1 + _MAX_N // 2}, got {k}")
+            raise ValueError(f"--weight must be <= {1 + _MAX_N // 2}, got {k}")
         n = 2 * (k - 1)
     return k, n, n % 8 == 2
 
@@ -61,14 +57,14 @@ def _build_config(args) -> None:
     args.weight, args.n, args.physical = _resolve_weight(args.n, args.weight)
     max_m = args.max_m
     if max_m < 0:
-        raise UsageError(f"--max-m must be >= 0, got {max_m}")
+        raise ValueError(f"--max-m must be >= 0, got {max_m}")
     if args.command == "cone" and max_m < 1:
-        raise UsageError("cone reports need --max-m >= 1")
+        raise ValueError("cone reports need --max-m >= 1")
     if args.cache_dir is not None:
         try:
             Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise UsageError(f"cannot use --cache-dir {args.cache_dir}: {exc}")
+            raise ValueError(f"cannot use --cache-dir {args.cache_dir}: {exc}")
 
 
 def _warn(msg: str) -> None:
@@ -294,12 +290,12 @@ def _parse_int_matrix(text: str, what: str):
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{usage}: {exc}")
+        raise ValueError(f"{usage}: {exc}")
     if not (isinstance(rows, list) and rows) or not all(
         isinstance(row, list) and all(type(x) is int for x in row)
         for row in rows
     ):
-        raise UsageError(f"{usage}, got {text}")
+        raise ValueError(f"{usage}, got {text}")
     return rows
 
 
@@ -313,7 +309,6 @@ def cmd_lattice(args) -> int:
         gauss_reduce,
         is_positive_definite,
         moment_matrix,
-        norm_q,
     )
 
     if args.subcommand == "reduce":  # a reduction reads no lattice
@@ -329,8 +324,10 @@ def cmd_lattice(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
+    if args.subcommand == "moment":  # bad input exits before any work
+        vectors = _parse_int_matrix(args.vectors, "--vectors")
     if args.n > _MAX_N:
-        raise UsageError(f"--n must be <= {_MAX_N}, got {args.n}")
+        raise ValueError(f"--n must be <= {_MAX_N}, got {args.n}")
     lattice = build_even_unimodular(args.n)
     if args.subcommand == "build":
         doc = {"gram": lattice.doubled, "rank": lattice.dimension,
@@ -338,8 +335,7 @@ def cmd_lattice(args) -> int:
         print(json.dumps(doc, sort_keys=True))
         return 0
     if args.subcommand == "moment":
-        vectors = _parse_int_matrix(args.vectors, "--vectors")
-        t = moment_matrix(lattice, [tuple(v) for v in vectors])
+        t = moment_matrix(lattice, vectors)
         doc = {
             "dimension": t.dimension,
             "doubled": True,
@@ -349,26 +345,10 @@ def cmd_lattice(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
-    entries = common_component_family(lattice, args.m, args.jmax)
-    dets = [e.determinant for e in entries]
-    doc = {
-        "base_norm": norm_q(lattice, entries[0].vectors[1]),
-        "dets_strictly_increasing": all(a < b for a, b in zip(dets, dets[1:])),
-        "entries": [
-            {
-                "det": _frac_str(e.determinant),
-                "j": e.j,
-                "moment_doubled": e.moment.doubled,
-                "moment_is_expected_diagonal": e.moment_is_expected_diagonal,
-                "span_matches_base": e.span_matches_base,
-                "vectors": e.vectors,
-            }
-            for e in entries
-        ],
-        "jmax": args.jmax,
-        "m": args.m,
-        "n": args.n,
-    }
+    doc = common_component_family(lattice, args.m, args.jmax)
+    doc["n"] = args.n
+    for e in doc["entries"]:
+        e["det"] = _frac_str(e["det"])
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
@@ -462,8 +442,7 @@ def main(argv=None) -> int:
             # os.devnull so that the flush at exit cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 141  # 128 + SIGPIPE, the status of a writer SIGPIPE ends
-        except (UsageError, ValueError, OSError, OverflowError,
-                MemoryError) as exc:
+        except (ValueError, OSError, OverflowError, MemoryError) as exc:
             _warn(f"error: {str(exc) or type(exc).__name__}")
             return 2
     finally:

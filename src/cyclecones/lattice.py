@@ -24,7 +24,6 @@ __all__ = [
     "E8_GRAM",
     "U_GRAM",
     "HalfIntegralMatrix",
-    "FamilyEntry",
     "build_even_unimodular",
     "inner",
     "norm_q",
@@ -204,24 +203,20 @@ def gauss_reduce(
     return reduced, u
 
 
-class FamilyEntry(_Record):
-    """One member of the common-component family: the scaled tuple, its
-    moment matrix, and the exactness checks on it."""
-
-    __slots__ = ("j", "vectors", "moment", "determinant",
-                 "moment_is_expected_diagonal", "span_matches_base")
-
-
 def common_component_family(
     lattice: HalfIntegralMatrix, m: int, j_max: int
-) -> list[FamilyEntry]:
-    """Tuples (j lam1, lam2) sharing one orthogonal complement.
+) -> dict:
+    """The report of the tuples (j lam1, lam2), 1 <= j <= j_max, that
+    share one orthogonal complement, keyed as ``lattice family`` prints it.
 
     lam1 and lam2 sit in the two hyperbolic planes with q(lam1) = 1 and
     q(lam2) = m, so the moment matrices are diag(j^2 q(lam1), m) of
     strictly increasing determinant while all tuples span one rational
     plane.  Two row spaces A and B are equal when rank(A) = rank(B) =
-    rank(A and B stacked).
+    rank(A and B stacked).  The report holds base_norm (q(lam2)),
+    dets_strictly_increasing, jmax, m and one entry per j: det (a
+    Fraction), j, moment_doubled, moment_is_expected_diagonal,
+    span_matches_base and vectors.
     """
     if m < 1:
         raise ValueError(f"norm must be >= 1, got {m}")
@@ -233,18 +228,25 @@ def common_component_family(
         raise AssertionError("family base vectors must be orthogonal")
     q1 = norm_q(lattice, lam1)
     base_rank = rank([lam1, lam2])
-    out = []
+    entries = []
     for j in range(1, j_max + 1):
         scaled = tuple(j * x for x in lam1)
         moment = moment_matrix(lattice, (scaled, lam2))
-        expected = HalfIntegralMatrix(
-            ((2 * j * j * q1, 0), (0, 2 * m))
-        )
-        out.append(
-            FamilyEntry(
-                j, (scaled, lam2), moment, moment.determinant(),
-                moment == expected,
+        entries.append({
+            "det": moment.determinant(),
+            "j": j,
+            "moment_doubled": moment.doubled,
+            "moment_is_expected_diagonal":
+                moment.doubled == ((2 * j * j * q1, 0), (0, 2 * m)),
+            "span_matches_base":
                 rank([scaled, lam2]) == rank([lam1, lam2, scaled]) == base_rank,
-            )
-        )
-    return out
+            "vectors": (scaled, lam2),
+        })
+    dets = [e["det"] for e in entries]
+    return {
+        "base_norm": norm_q(lattice, lam2),
+        "dets_strictly_increasing": all(a < b for a, b in zip(dets, dets[1:])),
+        "entries": entries,
+        "jmax": j_max,
+        "m": m,
+    }

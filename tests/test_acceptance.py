@@ -223,15 +223,18 @@ def test_criterion_7_lattice_suite():
 def test_criterion_8_common_component_family():
     lat = build_even_unimodular(10)
     for m in range(1, 11):
-        entries = common_component_family(lat, m, 10)
-        dets = [e.determinant for e in entries]
+        report = common_component_family(lat, m, 10)
+        entries = report["entries"]
+        dets = [e["det"] for e in entries]
         for e in entries:
-            assert e.moment.doubled == (
-                (2 * e.j * e.j, 0), (0, 2 * m)
-            ), (m, e.j)
-            assert e.moment_is_expected_diagonal
-            assert e.span_matches_base
+            assert e["moment_doubled"] == (
+                (2 * e["j"] * e["j"], 0), (0, 2 * m)
+            ), (m, e["j"])
+            assert e["moment_is_expected_diagonal"]
+            assert e["span_matches_base"]
         assert all(x < y for x, y in zip(dets, dets[1:])), m
+        assert report["base_norm"] == m
+        assert report["dets_strictly_increasing"] is True, m
     print("ACCEPTANCE 8 (common-component family, m<=10, j<=10): PASS")
 
 

@@ -291,6 +291,22 @@ def test_identity_scan_decides_unequal_sides_as_fractions_do(monkeypatch):
         assert list(eisenstein_identity_scan(n, 300)) == want
 
 
+def test_identity_scan_writes_an_unequal_rhs_in_lowest_terms(monkeypatch):
+    # no real scale's denominator divides a closed form at a small index
+    # (691 first divides sigma_11(m) at m = 1381), so a scale of 1/3 and
+    # sigma_5(2) = 33 = 2^5 + 1 show the rhs reduced by gcd(b, F.den)
+    monkeypatch.setattr(classes, "_divisor_sums", lambda s, prec: [0, 1, 34])
+    monkeypatch.setattr(
+        classes, "_eisenstein_scale", lambda k: Fraction(1, 3)
+    )
+    assert list(eisenstein_identity_scan(10, 2)) == [
+        ("coefficient", 1, "1/3", "1/3", True),
+        ("primitive", 1, "1/3", "1/3", True),
+        ("coefficient", 2, "34/3", "11/1", False),
+        ("primitive", 2, "34/3", "11/1", False),
+    ]
+
+
 def _fraction_rows(n, max_m):
     return [
         (c, m, _written(lhs), _written(rhs), equal)

@@ -850,6 +850,40 @@ def test_lattice_family(capsys):
     assert all(e["span_matches_base"] for e in doc["entries"])
 
 
+@pytest.mark.parametrize("n, m, jmax", [(10, 3, 5), (18, 7, 12), (26, 30, 8)])
+def test_lattice_family_prints_the_library_report(capsys, n, m, jmax):
+    # the command adds n and writes each det as p/q, and decides nothing
+    report = lattice.common_component_family(
+        lattice.build_even_unimodular(n), m, jmax
+    )
+    report["n"] = n
+    for e in report["entries"]:
+        e["det"] = f"{e['det'].numerator}/{e['det'].denominator}"
+    argv = ("lattice", "family", "--n", str(n), "--m", str(m),
+            "--jmax", str(jmax))
+    assert run(capsys, *argv) == (
+        0, json.dumps(report, sort_keys=True, indent=2) + "\n", ""
+    )
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ("bad", "--vectors must be a JSON array of integer rows: Expecting value: "
+            "line 1 column 1 (char 0)"),
+    ("[[1.5]]", "--vectors must be a JSON array of integer rows, got [[1.5]]"),
+    ("[]", "--vectors must be a JSON array of integer rows, got []"),
+], ids=["not-json", "a-float", "no-rows"])
+def test_lattice_moment_reads_its_vectors_before_any_work(
+    capsys, monkeypatch, vectors, message
+):
+    def reached(*args):
+        raise AssertionError(f"build_even_unimodular reached with {args}")
+
+    monkeypatch.setattr(lattice, "build_even_unimodular", reached)
+    for n in ("10", "1002", "1000002"):
+        argv = ("lattice", "moment", "--n", n, "--vectors", vectors)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_determinism(capsys):
     runs = [
         run(capsys, "cone", "--n", "34", "--max-m", "12")[1]

@@ -236,14 +236,19 @@ def test_moment_transforms_like_the_paperside_action():
 
 def test_common_component_family():
     lat = build_even_unimodular(10)
-    entries = common_component_family(lat, 3, 5)
-    assert [e.j for e in entries] == [1, 2, 3, 4, 5]
-    dets = [e.determinant for e in entries]
+    report = common_component_family(lat, 3, 5)
+    entries = report["entries"]
+    assert [e["j"] for e in entries] == [1, 2, 3, 4, 5]
+    dets = [e["det"] for e in entries]
     assert dets == [Fraction(3 * j * j) for j in (1, 2, 3, 4, 5)]
-    assert all(a < b for a, b in zip(dets, dets[1:]))
-    assert all(e.moment_is_expected_diagonal for e in entries)
-    assert all(e.span_matches_base for e in entries)
-    assert entries[0].moment.doubled == ((2, 0), (0, 6))
+    assert all(type(d) is Fraction for d in dets)
+    assert report["base_norm"] == 3
+    assert report["dets_strictly_increasing"] is True
+    assert (report["jmax"], report["m"]) == (5, 3)
+    assert all(e["moment_is_expected_diagonal"] for e in entries)
+    assert all(e["span_matches_base"] for e in entries)
+    assert entries[0]["moment_doubled"] == ((2, 0), (0, 6))
+    assert entries[1]["vectors"][0][:2] == (2, 2)
     with pytest.raises(ValueError):
         common_component_family(lat, 0, 5)
     with pytest.raises(ValueError):

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 import cyclecones
 from cyclecones.cones import Cone, Ray
-from cyclecones.lattice import (
-    HalfIntegralMatrix,
-    build_even_unimodular,
-    common_component_family,
-)
+from cyclecones.lattice import HalfIntegralMatrix
 from cyclecones.numtheory import (
     _Record,
     _sigma,
@@ -184,7 +180,6 @@ FROZEN = [
     Ray((1,)),
     Cone(((2,),)),
     HalfIntegralMatrix(((2, 1), (1, 2))),
-    common_component_family(build_even_unimodular(10), 3, 2)[0],
 ]
 
 
