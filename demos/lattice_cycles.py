@@ -44,7 +44,7 @@ print(f"  determinant preserved: {t.determinant()} == {red.determinant()}")
 print()
 
 print("family (j*lam1, lam2) with one common orthogonal complement, m = 3:")
-for e in common_component_family(lat, 3, 5)["entries"]:
+for e in common_component_family(10, 3, 5)["entries"]:
     print(f"  j={e['j']}: T_j doubled {e['moment_doubled']}, det {e['det']}, "
           f"diagonal as expected: {e['moment_is_expected_diagonal']}, "
           f"span unchanged: {e['span_matches_base']}")

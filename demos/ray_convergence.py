@@ -18,7 +18,7 @@ from cyclecones import convergence_scan, miller_basis, omega_ray
 
 k = 18
 basis = miller_basis(k, 201)
-print(f"weight {k}, omega ray = {tuple(map(str, omega_ray(basis).canonical))}")
+print(f"weight {k}, omega ray = {tuple(map(str, omega_ray(basis)))}")
 print()
 
 scan = dict(convergence_scan(basis, range(1, 201)))

@@ -21,7 +21,6 @@ _EXPORTS = {
     "cones": (
         "Cone",
         "NotPointedError",
-        "Ray",
         "accumulation_cone_model",
         "cone_report",
         "convergence_scan",

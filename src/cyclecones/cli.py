@@ -328,27 +328,27 @@ def cmd_lattice(args) -> int:
         vectors = _parse_int_matrix(args.vectors, "--vectors")
     if args.n > _MAX_N:
         raise ValueError(f"--n must be <= {_MAX_N}, got {args.n}")
+    if args.subcommand == "family":  # checks --m and --jmax, then builds
+        doc = common_component_family(args.n, args.m, args.jmax)
+        doc["n"] = args.n
+        for e in doc["entries"]:
+            e["det"] = _frac_str(e["det"])
+        print(json.dumps(doc, sort_keys=True, indent=2))
+        return 0
     lattice = build_even_unimodular(args.n)
     if args.subcommand == "build":
         doc = {"gram": lattice.doubled, "rank": lattice.dimension,
                "signature": (args.n, 2)}
         print(json.dumps(doc, sort_keys=True))
         return 0
-    if args.subcommand == "moment":
-        t = moment_matrix(lattice, vectors)
-        doc = {
-            "dimension": t.dimension,
-            "doubled": True,
-            "norms": [t.doubled[i][i] // 2 for i in range(t.dimension)],
-            "positive_definite": is_positive_definite(t),
-            "rows": t.doubled,
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-        return 0
-    doc = common_component_family(lattice, args.m, args.jmax)
-    doc["n"] = args.n
-    for e in doc["entries"]:
-        e["det"] = _frac_str(e["det"])
+    t = moment_matrix(lattice, vectors)
+    doc = {
+        "dimension": t.dimension,
+        "doubled": True,
+        "norms": [t.doubled[i][i] // 2 for i in range(t.dimension)],
+        "positive_definite": is_positive_definite(t),
+        "rows": t.doubled,
+    }
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

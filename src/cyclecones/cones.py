@@ -2,7 +2,8 @@
 
 Every vector taken in is a tuple of ints (numtheory._ints); Fractions
 appear only in returned values.  Rays are oriented (positive scaling
-only).  A ray is stored as its primitive integer vector; its canonical
+only).  A ray is the ray of a nonzero int vector, and two vectors span
+one ray exactly when their primitive vectors are equal; its canonical
 representative, normalized so the largest absolute coordinate is 1, is
 built only for printing.  Cone questions (pointedness, membership,
 extremality) are decided by an exact simplex with Bland's rule on
@@ -27,7 +28,6 @@ from .numtheory import _ints, _Record
 from .qseries import MillerBasis
 
 __all__ = [
-    "Ray",
     "Cone",
     "NotPointedError",
     "ray_distance",
@@ -48,35 +48,11 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _ray_key(g) -> tuple[int, ...]:
-    """The primitive integer vector on the oriented ray of a nonzero int
-    vector g, already checked.  Two nonzero vectors lie on one oriented
-    ray exactly when their keys are equal."""
-    return tuple(_primitive(g))
-
-
-class Ray(_Record):
-    """Oriented ray of a nonzero int vector, checked by _ints, held as its
-    primitive integer vector ``key``; two rays are equal exactly when
-    their keys are equal, and Ray(r.key) == r."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, coords) -> None:
-        key = _ray_key(_ints(coords))
-        if not any(key):
-            raise ValueError("the zero vector spans no ray")
-        super().__init__(key)
-
-    @property
-    def canonical(self) -> tuple[Fraction, ...]:
-        """The representative with max |coordinate| = 1, as Fractions."""
-        m = max(map(abs, self.key))
-        return tuple(Fraction(c, m) for c in self.key)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.key)
+def _canonical(g) -> tuple[Fraction, ...]:
+    """The representative of g's ray with max |coordinate| = 1, as
+    Fractions, for printing only."""
+    m = max(map(abs, g))
+    return tuple(Fraction(c, m) for c in g)
 
 
 class Cone(_Record):
@@ -104,24 +80,28 @@ class NotPointedError(ValueError):
     line."""
 
 
-def ray_distance(r1: Ray, r2: Ray) -> Fraction:
-    """L-infinity distance between canonical representatives, in ints: for
-    keys u, v with a = max |u_i|, b = max |v_i| it is max_i |u_i b - v_i a|
-    over a b, one Fraction per pair."""
-    if r1.dimension != r2.dimension:
-        raise ValueError(
-            f"dimension mismatch: {r1.dimension} vs {r2.dimension}"
-        )
-    u, v = r1.key, r2.key
-    a, b = max(map(abs, u)), max(map(abs, v))
+def ray_distance(u, v) -> Fraction:
+    """L-infinity distance between the canonical representatives of the
+    rays of two nonzero int vectors of one length, both checked by one
+    _ints call: with a = max |u_i| and b = max |v_i| it is
+    max_i |u_i b - v_i a| over a b, one Fraction per pair.  Positive
+    scaling of u or v leaves it unchanged, so no gcd is taken."""
+    u, v = tuple(u), tuple(v)
+    _ints(u + v)
+    a, b = max(map(abs, u), default=0), max(map(abs, v), default=0)
+    if not (a and b):
+        raise ValueError("the zero vector spans no ray")
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return Fraction(max(abs(x * b - y * a) for x, y in zip(u, v)), a * b)
 
 
-def omega_ray(basis: MillerBasis) -> Ray:
-    """Ray of the Kähler class: -e_0 in Miller-dual coordinates."""
+def omega_ray(basis: MillerBasis) -> tuple[int, ...]:
+    """The Kähler class's vector -e_0 = (-1, 0, ..., 0) in Miller-dual
+    coordinates."""
     if basis.dimension < 1:
         raise ValueError(f"weight {basis.weight} has an empty form space")
-    return Ray(coordinates(omega_class(), basis))
+    return coordinates(omega_class(), basis)
 
 
 def convergence_scan(
@@ -133,18 +113,16 @@ def convergence_scan(
     compared with the omega ray in the L-infinity ray metric.  The
     distances tend to 0 for k = 2 mod 4; for k = 0 mod 4 the Eisenstein
     sign flips and the limit ray is +e_0 instead, so distances approach 2
-    (a class's Ray(coordinates(terms, basis)) shows the limit attained).
+    (a class's coordinates(terms, basis) show the limit attained).
     """
     m_set = list(m_set)
     if any(m < 1 for m in m_set):
         raise ValueError("scan indices must be >= 1")
     target = omega_ray(basis)
     build = primitive_heegner_class if primitive else heegner_class
-    out = []
-    for m in m_set:
-        ray = Ray(coordinates(build(m), basis))
-        out.append((m, ray_distance(ray, target)))
-    return out
+    return [
+        (m, ray_distance(coordinates(build(m), basis), target)) for m in m_set
+    ]
 
 
 def accumulation_cone_model(basis: MillerBasis, truncation: int) -> Cone:
@@ -155,9 +133,7 @@ def accumulation_cone_model(basis: MillerBasis, truncation: int) -> Cone:
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if basis.dimension < 1:
-        raise ValueError(f"weight {basis.weight} has an empty form space")
-    gens = [coordinates(omega_class(), basis)]
+    gens = [omega_ray(basis)]
     for m in range(1, truncation + 1):
         gens.append(coordinates(primitive_heegner_class(m), basis))
     return Cone(tuple(gens))
@@ -333,7 +309,7 @@ def extremal_generators(cone: Cone) -> list[int]:
         )
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, g in enumerate(cone.generators):
-        groups.setdefault(_ray_key(g), []).append(j)
+        groups.setdefault(tuple(_primitive(g)), []).append(j)
     keys = list(groups)
 
     def inside(i: int, others: list[int]) -> bool:
@@ -380,12 +356,12 @@ def cone_report(basis: MillerBasis, truncation: int) -> dict:
         idx = extremal_generators(cone)
     except NotPointedError:
         return report
-    rays = {j: Ray(cone.generators[j]) for j in idx}
+    rays = {j: tuple(_primitive(cone.generators[j])) for j in idx}
     every = set(rays.values())
     report.update(
         pointed=True,
         extremal_indices=idx,
-        extremal_rays=sorted(ray.canonical for ray in every),
+        extremal_rays=sorted(map(_canonical, every)),
         # the half cone has a ray when some index <= half_m lies on it
         extremal_stable={rays[j] for j in idx if j <= half_m} == every,
     )

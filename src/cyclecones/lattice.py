@@ -203,11 +203,11 @@ def gauss_reduce(
     return reduced, u
 
 
-def common_component_family(
-    lattice: HalfIntegralMatrix, m: int, j_max: int
-) -> dict:
-    """The report of the tuples (j lam1, lam2), 1 <= j <= j_max, that
-    share one orthogonal complement, keyed as ``lattice family`` prints it.
+def common_component_family(n: int, m: int, j_max: int) -> dict:
+    """The report of the tuples (j lam1, lam2), 1 <= j <= j_max, in
+    U + U + E8^((n-2)/8) that share one orthogonal complement, keyed as
+    ``lattice family`` prints it.  m and j_max are checked before the
+    lattice is built.
 
     lam1 and lam2 sit in the two hyperbolic planes with q(lam1) = 1 and
     q(lam2) = m, so the moment matrices are diag(j^2 q(lam1), m) of
@@ -222,6 +222,7 @@ def common_component_family(
         raise ValueError(f"norm must be >= 1, got {m}")
     if j_max < 2:
         raise ValueError(f"need j_max >= 2 for a family, got {j_max}")
+    lattice = build_even_unimodular(n)
     lam1 = vector_of_norm(lattice, 1)
     lam2 = _second_block_vector(lattice, m)
     if inner(lattice, lam1, lam2) != 0:

@@ -43,7 +43,6 @@ from fractions import Fraction
 from cyclecones.classes import primitive_heegner_class, weight_for_signature
 from cyclecones.cones import (
     Cone,
-    Ray,
     extremal_generators,
     pointedness_witness,
 )
@@ -225,9 +224,13 @@ def is_pointed(cone):
 
 
 def extremal_ray_set(cone):
-    """The set of Rays of a pointed cone's extremal generators."""
+    """The set of primitive int vectors on a pointed cone's extremal
+    rays."""
     gens = cone.generators
-    return {Ray(gens[j]) for j in extremal_generators(cone)}
+    return {
+        tuple(c // math.gcd(*gens[j]) for c in gens[j])
+        for j in extremal_generators(cone)
+    }
 
 
 def two_sweep_stable(cone, half_m):
@@ -357,7 +360,7 @@ def fraction_lp_feasible(n_vars, ge=(), eq=(), nonneg=False):
 def fraction_ray_distance(u, v):
     """L-infinity distance between the canonical representatives of two
     nonzero rational vectors of one length, built in Fractions: the
-    reference for cones.ray_distance, which reads primitive integer keys."""
+    reference for cones.ray_distance, which stays in ints."""
     cu, cv = (
         [Fraction(c) / max(abs(x) for x in w) for c in w] for w in (u, v)
     )

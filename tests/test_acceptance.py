@@ -221,9 +221,8 @@ def test_criterion_7_lattice_suite():
 
 
 def test_criterion_8_common_component_family():
-    lat = build_even_unimodular(10)
     for m in range(1, 11):
-        report = common_component_family(lat, m, 10)
+        report = common_component_family(10, m, 10)
         entries = report["entries"]
         dets = [e["det"] for e in entries]
         for e in entries:

@@ -37,7 +37,7 @@ REEXPORTED = {
     "coordinates", "eisenstein_identity_scan",
     "heegner_class", "omega_class", "primitive_heegner_class",
     "weight_for_signature",
-    "Cone", "NotPointedError", "Ray", "accumulation_cone_model",
+    "Cone", "NotPointedError", "accumulation_cone_model",
     "cone_report", "convergence_scan", "extremal_generators",
     "lp_feasible", "omega_ray", "pointedness_witness", "ray_distance",
     "span_dimension",

@@ -14,7 +14,7 @@ from cyclecones.classes import (
     primitive_heegner_class,
     weight_for_signature,
 )
-from cyclecones.cones import Cone, Ray, lp_feasible
+from cyclecones.cones import Cone, lp_feasible, ray_distance
 from cyclecones.lattice import (
     HalfIntegralMatrix,
     build_even_unimodular,
@@ -135,7 +135,7 @@ Z = (0,) * 10  # pads a vector of the first hyperbolic plane to rank 12
     lambda x: MillerBasis(6, ((1, x),)),
     lambda x: coordinates(((1, x),), miller_basis(6, 4)),
     lambda x: Cone(((1, x),)),
-    lambda x: Ray((1, x)),
+    lambda x: ray_distance((1, x), (1, 1)),  # a ray is its int vector
     lambda x: lp_feasible(2, [((1, x), 1)]),
     lambda x: rank([(1, x)]),
     lambda x: HalfIntegralMatrix(((2, x), (x, 2))),

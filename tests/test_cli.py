@@ -853,9 +853,7 @@ def test_lattice_family(capsys):
 @pytest.mark.parametrize("n, m, jmax", [(10, 3, 5), (18, 7, 12), (26, 30, 8)])
 def test_lattice_family_prints_the_library_report(capsys, n, m, jmax):
     # the command adds n and writes each det as p/q, and decides nothing
-    report = lattice.common_component_family(
-        lattice.build_even_unimodular(n), m, jmax
-    )
+    report = lattice.common_component_family(n, m, jmax)
     report["n"] = n
     for e in report["entries"]:
         e["det"] = f"{e['det'].numerator}/{e['det'].denominator}"
@@ -864,6 +862,21 @@ def test_lattice_family_prints_the_library_report(capsys, n, m, jmax):
     assert run(capsys, *argv) == (
         0, json.dumps(report, sort_keys=True, indent=2) + "\n", ""
     )
+
+
+@pytest.mark.parametrize("m, jmax, message", [
+    ("0", "5", "norm must be >= 1, got 0"),
+    ("3", "1", "need j_max >= 2 for a family, got 1"),
+], ids=["m-0", "jmax-1"])
+def test_lattice_family_checks_its_arguments_before_any_work(
+    capsys, monkeypatch, m, jmax, message
+):
+    def reached(*args):
+        raise AssertionError(f"build_even_unimodular reached with {args}")
+
+    monkeypatch.setattr(lattice, "build_even_unimodular", reached)
+    argv = ("lattice", "family", "--n", "1002", "--m", m, "--jmax", jmax)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("vectors, message", [

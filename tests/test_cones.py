@@ -18,7 +18,6 @@ from cyclecones.classes import (
 from cyclecones.cones import (
     Cone,
     NotPointedError,
-    Ray,
     accumulation_cone_model,
     cone_report,
     convergence_scan,
@@ -50,10 +49,6 @@ small_ints = st.integers(min_value=-8, max_value=8)
 
 def vec(*coords):
     return tuple(coords)
-
-
-def ray(*coords):
-    return Ray(coords)
 
 
 def cone_of(*gens):
@@ -106,11 +101,17 @@ def solve(n_vars, ge=(), eq=(), nonneg=False):
 # ---------------------------------------------------------------------------
 
 
+def key(*coords):
+    """The primitive int vector of the ray of coords, which names the ray."""
+    return tuple(cones._primitive(list(coords)))
+
+
 def test_canonicalize_examples():
-    assert ray(2, 0).canonical == (1, 0)
-    assert ray(-3, 1).canonical == (-1, Fraction(1, 3))
-    with pytest.raises(ValueError):
-        ray(0, 0)
+    assert cones._canonical((2, 0)) == (1, 0)
+    assert cones._canonical((-3, 1)) == (-1, Fraction(1, 3))
+    for u, v in (((0, 0), (1, 0)), ((1, 0), (0, 0)), ((), ())):
+        with pytest.raises(ValueError, match="the zero vector spans no ray"):
+            ray_distance(u, v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,22 +122,18 @@ def test_canonicalize_examples():
 def test_canonicalize_scale_invariant_and_idempotent(coords, scale):
     if all(c == 0 for c in coords):
         return
-    r = ray(*coords)
-    assert ray(*(scale * c for c in coords)) == r
-    assert Ray(r.key) == r
-    assert max(abs(c) for c in r.canonical) == 1
+    canonical = cones._canonical(coords)
+    assert cones._canonical([scale * c for c in coords]) == canonical
+    assert cones._canonical(key(*coords)) == canonical
+    assert max(abs(c) for c in canonical) == 1
     with pytest.raises(TypeError, match="is not an int"):
-        Ray(r.canonical)  # the canonical Fractions are output only
+        ray_distance(canonical, coords)  # the Fractions are output only
 
 
 def test_canonicalize_int_coordinates_gives_fractions():
     for coords in ((4, -6), (0, 3), (-7,), (196560, -24)):
-        r = Ray(coords)
-        assert all(type(c) is Fraction for c in r.canonical)
-        assert r == ray(*coords)
-    assert Ray((4, -6)).canonical == (
-        Fraction(2, 3), -1
-    )
+        assert all(type(c) is Fraction for c in cones._canonical(coords))
+    assert cones._canonical((4, -6)) == (Fraction(2, 3), -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,27 +145,25 @@ def test_canonicalize_int_coordinates_gives_fractions():
 def test_ray_key_names_the_oriented_ray(a, b, scale):
     if not any(a) or not any(b):
         return
-    key = cones._ray_key(a)
-    assert all(type(x) is int for x in key) and math.gcd(*key) == 1
-    assert cones._ray_key([scale * c for c in a]) == key
+    k = key(*a)
+    assert all(type(x) is int for x in k) and math.gcd(*k) == 1
+    assert key(*(scale * c for c in a)) == k
     if len(a) == len(b):
         same_ray = fraction_ray_distance(a, b) == 0
-        assert (cones._ray_key(b) == key) == same_ray
+        assert (key(*b) == k) == same_ray
 
 
 def test_opposite_rays_are_distinct():
-    r1 = ray(1, 0)
-    r2 = ray(-1, 0)
-    assert r1 != r2
-    assert ray_distance(r1, r2) == 2
+    assert key(1, 0) != key(-1, 0)
+    assert ray_distance((1, 0), (-1, 0)) == 2
 
 
 def test_ray_distance_examples():
-    r = ray(3, 1)
-    assert ray_distance(r, r) == 0
-    assert ray_distance(ray(97, 1), ray(1, 0)) == Fraction(1, 97)
-    with pytest.raises(ValueError):
-        ray_distance(ray(1), ray(1, 0))
+    assert ray_distance((3, 1), (3, 1)) == 0
+    assert ray_distance((6, 2), [3, 1]) == 0
+    assert ray_distance((97, 1), (1, 0)) == Fraction(1, 97)
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        ray_distance((1,), (1, 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,13 +173,12 @@ def test_ray_distance_examples():
     st.lists(small_ints, min_size=3, max_size=3),
 )
 def test_ray_distance_is_a_metric(a, b, c):
-    vs = [x for x in (a, b, c) if any(x)]
-    rays = [ray(*x) for x in vs]
+    rays = [x for x in (a, b, c) if any(x)]
     for r in rays:
         assert ray_distance(r, r) == 0
     for r, s in itertools.combinations(rays, 2):
         assert ray_distance(r, s) == ray_distance(s, r)
-        assert (ray_distance(r, s) == 0) == (r == s)
+        assert (ray_distance(r, s) == 0) == (key(*r) == key(*s))
     if len(rays) == 3:
         r, s, t = rays
         assert ray_distance(r, t) <= ray_distance(r, s) + ray_distance(s, t)
@@ -218,10 +212,20 @@ def vector_pairs(draw):
 @given(vector_pairs())
 def test_ray_distance_matches_the_fraction_distance(pair):
     u, v = pair
-    d = ray_distance(Ray(u), Ray(v))
+    d = ray_distance(u, v)
     assert type(d) is Fraction
     assert d == fraction_ray_distance(u, v)
-    assert (Ray(u) == Ray(v)) == (d == 0)
+    assert (key(*u) == key(*v)) == (d == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_pairs(), st.integers(min_value=1, max_value=10**6))
+def test_ray_distance_is_invariant_under_positive_scaling(pair, c):
+    u, v = pair
+    d = ray_distance([c * x for x in u], v)
+    assert d == ray_distance(u, v) == ray_distance(u, [c * x for x in v])
+    same_ray = fraction_ray_distance(u, v) == 0
+    assert (d == 0) == (key(*u) == key(*v)) == same_ray
 
 
 def _fractions_built(fn) -> int:
@@ -259,9 +263,10 @@ def test_convergence_scan_builds_one_fraction_per_index():
 
 
 def test_omega_ray():
-    assert omega_ray(miller_basis(6, 1)).canonical == (-1,)
-    assert omega_ray(miller_basis(12, 2)).canonical == (-1, 0)
-    assert omega_ray(miller_basis(18, 2)).canonical == (-1, 0)
+    assert omega_ray(miller_basis(6, 1)) == (-1,)
+    assert omega_ray(miller_basis(12, 2)) == (-1, 0)
+    assert omega_ray(miller_basis(18, 2)) == (-1, 0)
+    assert all(type(c) is int for c in omega_ray(miller_basis(34, 3)))
     with pytest.raises(ValueError):
         omega_ray(miller_basis(2, 1))
 
@@ -579,19 +584,14 @@ def test_span_dimension_does_not_recheck_the_generators(monkeypatch):
 
 
 def test_ray_and_cone_compare_their_one_field():
-    r = Ray((4, -2))
-    assert r.key == (2, -1)
-    assert r == Ray(r.key) and hash(r) == hash(Ray(r.key))
-    assert r != Ray(r.key[::-1])
-    assert len({r, Ray((2, -1)), Ray((6, -3))}) == 1
-    assert repr(r) == "Ray(key=(2, -1))"
+    # a ray compares as its primitive int vector
+    assert key(4, -2) == (2, -1) != key(-1, 2)
+    assert len({key(4, -2), key(2, -1), key(6, -3)}) == 1
     c = cone_of((1, 0), (0, 1))
     same = Cone(c.generators)
     assert c == same and hash(c) == hash(same)
     assert c != cone_of((0, 1), (1, 0))
-    # no record takes a weight tag
-    with pytest.raises(TypeError):
-        Ray(r.key, 18)
+    # a cone takes no weight tag
     with pytest.raises(TypeError):
         Cone(c.generators, 18)
 
@@ -696,7 +696,7 @@ def test_accumulation_cone_small():
 
     cone6 = accumulation_cone_model(miller_basis(6, 21), 20)
     assert span_dimension(cone6) == 1
-    assert extremal_ray_set(cone6) == {Ray((-1,))}
+    assert extremal_ray_set(cone6) == {(-1,)}
     # weight 2 has no forms, so no coordinates
     with pytest.raises(ValueError, match="empty form space"):
         accumulation_cone_model(miller_basis(2, 21), 20)
@@ -723,7 +723,7 @@ def test_cone_report_of_a_pointed_cone():
     assert report["pointed"] is True
     assert report["extremal_indices"] == [1, 2, 3]
     rays = report["extremal_rays"]
-    assert rays == sorted(r.canonical for r in extremal_ray_set(cone))
+    assert rays == sorted(map(cones._canonical, extremal_ray_set(cone)))
     assert all(type(c) is Fraction for ray in rays for c in ray)
     assert report["extremal_stable"] == two_sweep_stable(cone, 100)
 
@@ -781,8 +781,8 @@ def test_accumulation_cone_pointed_with_evaluation_witness():
 def test_class_ray_converges_to_positive_axis_at_weight_0_mod_4():
     # non-physical weights flip the Eisenstein sign: limit is +e_0
     basis = miller_basis(16, 130)
-    r = Ray(coordinates(primitive_heegner_class(128), basis))
-    assert r.canonical[0] == 1
+    u = coordinates(primitive_heegner_class(128), basis)
+    assert cones._canonical(u)[0] == 1
 
 
 def test_extremal_sweep_work_and_observed_extremal_set(monkeypatch):

@@ -235,8 +235,7 @@ def test_moment_transforms_like_the_paperside_action():
 
 
 def test_common_component_family():
-    lat = build_even_unimodular(10)
-    report = common_component_family(lat, 3, 5)
+    report = common_component_family(10, 3, 5)
     entries = report["entries"]
     assert [e["j"] for e in entries] == [1, 2, 3, 4, 5]
     dets = [e["det"] for e in entries]
@@ -250,9 +249,11 @@ def test_common_component_family():
     assert entries[0]["moment_doubled"] == ((2, 0), (0, 6))
     assert entries[1]["vectors"][0][:2] == (2, 2)
     with pytest.raises(ValueError):
-        common_component_family(lat, 0, 5)
+        common_component_family(10, 0, 5)
     with pytest.raises(ValueError):
-        common_component_family(lat, 3, 1)
+        common_component_family(10, 3, 1)
+    with pytest.raises(ValueError, match="no even unimodular lattice"):
+        common_component_family(11, 3, 5)
 
 
 def test_json_serialization(capsys):

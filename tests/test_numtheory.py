@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclecones
-from cyclecones.cones import Cone, Ray
+from cyclecones.cones import Cone
 from cyclecones.lattice import HalfIntegralMatrix
 from cyclecones.numtheory import (
     _Record,
@@ -177,7 +177,6 @@ def test_factorize_against_sympy(sympy):
 
 FROZEN = [
     MillerBasis(6, ((1, -504),)),
-    Ray((1,)),
     Cone(((2,),)),
     HalfIntegralMatrix(((2, 1), (1, 2))),
 ]
